@@ -3,7 +3,8 @@
 The load-bearing invariants:
 
 * **Byte equality** — every experiment executed through its compiled
-  plan renders exactly what ``module.run(settings)`` renders.
+  plan renders the committed golden digest
+  (``tests/data/render_digests.json``).
 * **Dedup soundness** — identical cells across experiments run once,
   and results fan back to every requester unchanged.
 * **Full priming** — the executor primes every declared shared input
@@ -11,11 +12,19 @@ The load-bearing invariants:
   only warm memos, never change arithmetic.
 """
 
+import hashlib
+import json
 import types
+from pathlib import Path
 
 import pytest
 
-from repro.experiments import figure3, table3, table4, table5
+from repro.experiments import (
+    ALL_EXPERIMENTS,
+    EXTENSION_EXPERIMENTS,
+    table4,
+    table5,
+)
 from repro.experiments.common import ExperimentSettings, fetch_point
 from repro.plan import inputs as plan_inputs
 from repro.plan.compile import compile_module, compile_report, has_plan
@@ -37,6 +46,16 @@ from repro.runner.timing import TimingReport
 from repro.workloads.registry import set_trace_cache_backend
 
 SETTINGS = ExperimentSettings(n_instructions=20_000, seed=3)
+
+GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "render_digests.json").read_text()
+)
+GOLDEN_SETTINGS = ExperimentSettings(**GOLDEN["settings"])
+ALL_MODULES = {**ALL_EXPERIMENTS, **EXTENSION_EXPERIMENTS}
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 @pytest.fixture(autouse=True)
@@ -237,28 +256,32 @@ class TestExecuteCells:
 
 
 class TestGoldenEquivalence:
-    """Plan-executed output must be byte-identical to the legacy path.
+    """Every experiment renders its committed golden bytes.
 
-    A representative slice here (decomposed sweeps with masks, a
-    table with per-workload cells, a run_cell fallback module); the
-    full 29-module sweep holds by the same mechanism and is gated by
-    ``benchmarks/bench_report.py`` in CI.
+    ``tests/data/render_digests.json`` holds ``sha256(render())`` of all
+    29 experiments at the fixture's settings, recorded when the
+    hand-written per-experiment loops still existed and rendered
+    byte-identically to the plan path.  A changed digest is a changed
+    number: regenerate the fixture only for an intended result change.
     """
 
-    @pytest.mark.parametrize("module", [table5, table4, figure3, table3])
+    @pytest.mark.parametrize("module", list(ALL_MODULES.values()))
     def test_experiment_byte_identical(self, module):
-        legacy = module.run(SETTINGS).render()
-        result, report = run_experiment(module, SETTINGS, jobs=1)
-        assert result.render() == legacy
+        name = module.__name__.rsplit(".", 1)[-1]
+        result, report = run_experiment(module, GOLDEN_SETTINGS, jobs=1)
+        assert _digest(result.render()) == GOLDEN["digests"][name]
         assert report.plan["inputs_primed"] == report.plan["inputs_total"]
 
-    def test_report_byte_identical(self):
-        from repro.runner.pool import run_report_legacy
+    def test_fixture_covers_every_experiment(self):
+        assert set(GOLDEN["digests"]) == set(ALL_MODULES)
 
+    def test_report_byte_identical(self):
+        # Priming shared inputs across experiments changes no bytes.
         modules = {"table5": table5, "table4": table4}
-        legacy, _ = run_report_legacy(modules, SETTINGS, jobs=1)
-        planned, report = run_report(modules, SETTINGS, jobs=1)
-        assert planned == legacy
+        planned, report = run_report(modules, GOLDEN_SETTINGS, jobs=1)
+        assert [name for name, _ in planned] == list(modules)
+        for name, text in planned:
+            assert _digest(text) == GOLDEN["digests"][name]
         # The report plan shares trace/stream/mask inputs across the
         # two experiments.
         assert report.plan["inputs_shared"] > 0
