@@ -13,17 +13,20 @@ from repro.experiments import (
     ext_subblock,
     table2,
 )
+from repro.plan.executor import run_experiment
 
 
 def test_table2(benchmark, settings, report):
-    result = benchmark.pedantic(table2.run, rounds=1, iterations=1)
+    result, _timing = benchmark.pedantic(
+        run_experiment, args=(table2, settings), rounds=1, iterations=1
+    )
     report.append(result.render())
     assert len(result.workloads) == 8
 
 
 def test_ext_prefetch(benchmark, settings, report):
-    result = benchmark.pedantic(
-        ext_prefetch.run, args=(settings,), rounds=1, iterations=1
+    result, _timing = benchmark.pedantic(
+        run_experiment, args=(ext_prefetch, settings), rounds=1, iterations=1
     )
     report.append(result.render())
     # Non-sequential prediction helps, hybrid more, but sequential
@@ -34,8 +37,8 @@ def test_ext_prefetch(benchmark, settings, report):
 
 
 def test_ext_conflict(benchmark, settings, report):
-    result = benchmark.pedantic(
-        ext_conflict.run, args=(settings,), rounds=1, iterations=1
+    result, _timing = benchmark.pedantic(
+        run_experiment, args=(ext_conflict, settings), rounds=1, iterations=1
     )
     report.append(result.render())
     for size in (8192, 65536):
@@ -47,8 +50,8 @@ def test_ext_conflict(benchmark, settings, report):
 
 
 def test_ext_placement(benchmark, settings, report):
-    result = benchmark.pedantic(
-        ext_placement.run, args=(settings,), rounds=1, iterations=1
+    result, _timing = benchmark.pedantic(
+        run_experiment, args=(ext_placement, settings), rounds=1, iterations=1
     )
     report.append(result.render())
     # Placement helps the isolated user task (the literature's setting)
@@ -59,8 +62,8 @@ def test_ext_placement(benchmark, settings, report):
 
 
 def test_ext_subblock(benchmark, settings, report):
-    result = benchmark.pedantic(
-        ext_subblock.run, args=(settings,), rounds=1, iterations=1
+    result, _timing = benchmark.pedantic(
+        run_experiment, args=(ext_subblock, settings), rounds=1, iterations=1
     )
     report.append(result.render())
     values = result.cells
@@ -69,8 +72,8 @@ def test_ext_subblock(benchmark, settings, report):
 
 
 def test_ext_multiissue(benchmark, settings, report):
-    result = benchmark.pedantic(
-        ext_multiissue.run, args=(settings,), rounds=1, iterations=1
+    result, _timing = benchmark.pedantic(
+        run_experiment, args=(ext_multiissue, settings), rounds=1, iterations=1
     )
     report.append(result.render())
     # The conclusion, quantified: at quad issue, IBS spends a large
@@ -82,8 +85,8 @@ def test_ext_multiissue(benchmark, settings, report):
 def test_ext_context(benchmark, settings, report):
     from repro.experiments import ext_context
 
-    result = benchmark.pedantic(
-        ext_context.run, args=(settings,), rounds=1, iterations=1
+    result, _timing = benchmark.pedantic(
+        run_experiment, args=(ext_context, settings), rounds=1, iterations=1
     )
     report.append(result.render())
     # Context switching always costs, and costs more at short quanta.
@@ -95,8 +98,8 @@ def test_ext_components(benchmark, settings, report):
     from repro.experiments import ext_components
     from repro.trace.record import Component
 
-    result = benchmark.pedantic(
-        ext_components.run, args=(settings,), rounds=1, iterations=1
+    result, _timing = benchmark.pedantic(
+        run_experiment, args=(ext_components, settings), rounds=1, iterations=1
     )
     report.append(result.render())
     # Minor (OS/server) components miss disproportionately in most
@@ -114,8 +117,9 @@ def test_ext_sensitivity(benchmark, settings, report):
     from repro.experiments import ext_sensitivity
     from repro.experiments.ext_sensitivity import KNOBS
 
-    result = benchmark.pedantic(
-        ext_sensitivity.run, args=(settings,), rounds=1, iterations=1
+    result, _timing = benchmark.pedantic(
+        run_experiment, args=(ext_sensitivity, settings),
+        rounds=1, iterations=1,
     )
     report.append(result.render())
     for knob, (_lo, _hi, expected) in KNOBS.items():
@@ -126,8 +130,9 @@ def test_ext_sensitivity(benchmark, settings, report):
 def test_ext_methodology(benchmark, settings, report):
     from repro.experiments import ext_methodology
 
-    result = benchmark.pedantic(
-        ext_methodology.run, args=(settings,), rounds=1, iterations=1
+    result, _timing = benchmark.pedantic(
+        run_experiment, args=(ext_methodology, settings),
+        rounds=1, iterations=1,
     )
     report.append(result.render())
     # The paper's additive accounting holds within ~15% of an
@@ -141,8 +146,8 @@ def test_ext_branch(benchmark, settings, report):
     from repro.experiments import ext_branch
     from repro.experiments.ext_branch import BTB_SIZES
 
-    result = benchmark.pedantic(
-        ext_branch.run, args=(settings,), rounds=1, iterations=1
+    result, _timing = benchmark.pedantic(
+        run_experiment, args=(ext_branch, settings), rounds=1, iterations=1
     )
     report.append(result.render())
     # IBS pays more for fetch redirects than SPEC at every BTB size...
@@ -160,8 +165,8 @@ def test_ext_branch(benchmark, settings, report):
 def test_ext_area(benchmark, settings, report):
     from repro.experiments import ext_area
 
-    result = benchmark.pedantic(
-        ext_area.run, args=(settings,), rounds=1, iterations=1
+    result, _timing = benchmark.pedantic(
+        run_experiment, args=(ext_area, settings), rounds=1, iterations=1
     )
     report.append(result.render())
     for budget in ext_area.BUDGETS_RBE:
@@ -180,8 +185,8 @@ def test_ext_tlb(benchmark, settings, report):
     from repro.experiments import ext_tlb
     from repro.tlb.mach_tlb import USER_REFILL_CYCLES
 
-    result = benchmark.pedantic(
-        ext_tlb.run, args=(settings,), rounds=1, iterations=1
+    result, _timing = benchmark.pedantic(
+        run_experiment, args=(ext_tlb, settings), rounds=1, iterations=1
     )
     report.append(result.render())
     # The microkernel tax shows up in the TLB too: higher CPItlb and a
@@ -195,8 +200,8 @@ def test_ext_tlb(benchmark, settings, report):
 def test_ext_sampling(benchmark, settings, report):
     from repro.experiments import ext_sampling
 
-    result = benchmark.pedantic(
-        ext_sampling.run, args=(settings,), rounds=1, iterations=1
+    result, _timing = benchmark.pedantic(
+        run_experiment, args=(ext_sampling, settings), rounds=1, iterations=1
     )
     report.append(result.render())
     # The practical frontier: ~5x speedup at a few percent error.
@@ -207,8 +212,8 @@ def test_ext_sampling(benchmark, settings, report):
 def test_ext_bloat(benchmark, settings, report):
     from repro.experiments import ext_bloat
 
-    result = benchmark.pedantic(
-        ext_bloat.run, args=(settings,), rounds=1, iterations=1
+    result, _timing = benchmark.pedantic(
+        run_experiment, args=(ext_bloat, settings), rounds=1, iterations=1
     )
     report.append(result.render())
     # The title's trend, forward-projected: MPI grows monotonically

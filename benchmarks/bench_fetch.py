@@ -46,6 +46,7 @@ from repro.experiments.common import (
 )
 from repro.fetch import dispatch
 from repro.fetch.timing import MemoryTiming
+from repro.plan.executor import run_experiment
 from repro.workloads.registry import get_trace, suite_workloads
 
 
@@ -79,8 +80,9 @@ def bench_figure6(
 
     def timed(engine: str):
         start = time.perf_counter()
-        result = figure6.run(_settings(n_instructions, seed, engine),
-                             suite=suite)
+        result, _ = run_experiment(
+            figure6, _settings(n_instructions, seed, engine), suite=suite
+        )
         return result, time.perf_counter() - start
 
     reference, reference_seconds = timed("reference")

@@ -1,11 +1,12 @@
 """Benchmark: regenerate the paper's Figure 1 (capacity/conflict misses)."""
 
 from repro.experiments import figure1
+from repro.plan.executor import run_experiment
 
 
 def test_figure1(benchmark, settings, report):
-    result = benchmark.pedantic(
-        figure1.run, args=(settings,), rounds=1, iterations=1
+    result, _timing = benchmark.pedantic(
+        run_experiment, args=(figure1, settings), rounds=1, iterations=1
     )
     report.append(result.render())
 

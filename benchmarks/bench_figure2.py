@@ -1,11 +1,12 @@
 """Benchmark: regenerate the paper's Figure 2 (workload structure)."""
 
 from repro.experiments import figure2
+from repro.plan.executor import run_experiment
 
 
 def test_figure2(benchmark, settings, report):
-    result = benchmark.pedantic(
-        figure2.run, args=(settings,), rounds=1, iterations=1
+    result, _timing = benchmark.pedantic(
+        run_experiment, args=(figure2, settings), rounds=1, iterations=1
     )
     report.append(result.render())
 

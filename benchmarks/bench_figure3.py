@@ -1,11 +1,12 @@
 """Benchmark: regenerate the paper's Figure 3 (CPIinstr vs L2 geometry)."""
 
 from repro.experiments import figure3
+from repro.plan.executor import run_experiment
 
 
 def test_figure3(benchmark, settings, report):
-    result = benchmark.pedantic(
-        figure3.run, args=(settings,), rounds=1, iterations=1
+    result, _timing = benchmark.pedantic(
+        run_experiment, args=(figure3, settings), rounds=1, iterations=1
     )
     report.append(result.render())
 

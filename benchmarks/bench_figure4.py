@@ -1,11 +1,12 @@
 """Benchmark: regenerate the paper's Figure 4 (CPIinstr vs L2 associativity)."""
 
 from repro.experiments import figure4
+from repro.plan.executor import run_experiment
 
 
 def test_figure4(benchmark, settings, report):
-    result = benchmark.pedantic(
-        figure4.run, args=(settings,), rounds=1, iterations=1
+    result, _timing = benchmark.pedantic(
+        run_experiment, args=(figure4, settings), rounds=1, iterations=1
     )
     report.append(result.render())
 

@@ -1,15 +1,16 @@
 """Benchmark: regenerate the paper's Figure 5 (trap-driven variability)."""
 
 from repro.experiments import figure5
+from repro.plan.executor import run_experiment
 
 
 def test_figure5(benchmark, settings, report):
     # The full 9-size x 3-way grid over 4 workloads x 5 trials is the
     # most expensive experiment; trim the size axis a little while
     # keeping the interesting middle of the paper's range.
-    result = benchmark.pedantic(
-        figure5.run,
-        args=(settings,),
+    result, _timing = benchmark.pedantic(
+        run_experiment,
+        args=(figure5, settings),
         kwargs=dict(
             cache_sizes=tuple(1024 * k for k in (8, 16, 32, 64, 128, 256)),
         ),

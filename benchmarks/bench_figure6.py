@@ -1,11 +1,12 @@
 """Benchmark: regenerate the paper's Figure 6 (bandwidth vs line size)."""
 
 from repro.experiments import figure6
+from repro.plan.executor import run_experiment
 
 
 def test_figure6(benchmark, settings, report):
-    result = benchmark.pedantic(
-        figure6.run, args=(settings,), rounds=1, iterations=1
+    result, _timing = benchmark.pedantic(
+        run_experiment, args=(figure6, settings), rounds=1, iterations=1
     )
     report.append(result.render())
 

@@ -1,11 +1,12 @@
 """Benchmark: regenerate the paper's Figure 7 (cumulative optimizations)."""
 
 from repro.experiments import figure7
+from repro.plan.executor import run_experiment
 
 
 def test_figure7(benchmark, settings, report):
-    result = benchmark.pedantic(
-        figure7.run, args=(settings,), rounds=1, iterations=1
+    result, _timing = benchmark.pedantic(
+        run_experiment, args=(figure7, settings), rounds=1, iterations=1
     )
     report.append(result.render())
 

@@ -1,13 +1,17 @@
-"""Legacy-vs-IR timing of the grid-wide report plan.
+"""Per-experiment-vs-grid-wide timing of the report plan.
 
 One benchmark, appending a ``report-dedup`` record to the
 ``BENCH_fetch.json`` trajectory at the repository root: a fixed set of
 experiments with heavily-overlapping inputs runs twice, each pass in a
 fresh subprocess with cold memos and no disk cache,
 
-* **legacy** — :func:`repro.runner.pool.run_report_legacy`, the
-  pre-plan path: one pool cell per experiment, every worker re-deriving
-  its experiments' traces, streams, and miss masks from scratch;
+* **legacy** — the per-experiment comparator local to this benchmark:
+  one pool cell per experiment, each running
+  :func:`repro.plan.executor.run_experiment` with ``jobs=1`` in
+  isolation, so every worker re-derives its experiment's traces,
+  streams, and miss masks from scratch (what the report cost before
+  plans were compiled grid-wide; recorded as ``legacy_seconds`` so the
+  trajectory stays comparable);
 * **plan** — :func:`repro.plan.executor.run_report`, the sweep-plan
   path: one compiled plan whose shared inputs are primed once in the
   parent before the pool forks, so workers inherit every warm memo.
@@ -41,7 +45,7 @@ import time
 #: The measured experiment set: every module shares the ibs-mach3
 #: traces (figure1 and table5 add spec92), and the L1/L2 demand-mask
 #: geometries overlap heavily across figure3/figure4/figure7/table5.
-#: The default ``--jobs 8`` gives the legacy path one worker per
+#: The default ``--jobs 8`` gives the comparator one worker per
 #: experiment — its best case for wall time, and exactly the setting
 #: under which every worker re-derives the shared inputs privately.
 MODULES = (
@@ -82,24 +86,48 @@ def run_pass(mode: str, n_instructions: int, seed: int, jobs: int) -> dict:
     return json.loads(result.stdout.splitlines()[-1])
 
 
+def _render_experiment(name: str, settings) -> str:
+    """Comparator cell: one whole experiment, planned in isolation."""
+    from repro import experiments
+    from repro.plan.executor import run_experiment
+
+    result, _report = run_experiment(
+        getattr(experiments, name), settings, jobs=1
+    )
+    return result.render()
+
+
+def run_report_per_experiment(
+    names: tuple[str, ...], settings, jobs: int
+) -> list[tuple[str, str]]:
+    """The comparator: one pool cell per experiment, no shared priming."""
+    from repro.plan.ir import PlanCell
+    from repro.runner.pool import run_cells
+
+    cells = [
+        PlanCell(key=(name,), fn=_render_experiment, args=(name, settings))
+        for name in names
+    ]
+    renderings, _timings = run_cells(cells, jobs)
+    return list(zip(names, renderings))
+
+
 def _pass_body(mode: str, n_instructions: int, seed: int, jobs: int) -> int:
     """Subprocess body: run one pass, print its JSON record to stdout."""
     from repro import experiments
     from repro.experiments.common import ExperimentSettings
 
-    modules = {
-        name: getattr(experiments, name) for name in MODULES
-    }
     settings = ExperimentSettings(n_instructions=n_instructions, seed=seed)
     start = time.perf_counter()
     if mode == "legacy":
-        from repro.runner.pool import run_report_legacy
-
-        renderings, _report = run_report_legacy(modules, settings, jobs=jobs)
+        renderings = run_report_per_experiment(MODULES, settings, jobs)
         plan_stats = None
     else:
         from repro.plan.executor import run_report
 
+        modules = {
+            name: getattr(experiments, name) for name in MODULES
+        }
         renderings, report = run_report(modules, settings, jobs=jobs)
         plan_stats = report.plan
     seconds = time.perf_counter() - start
@@ -118,12 +146,13 @@ def _pass_body(mode: str, n_instructions: int, seed: int, jobs: int) -> int:
 def bench_report_dedup(
     n_instructions: int, seed: int, jobs: int
 ) -> dict:
-    """One trajectory record: the legacy pool path vs the compiled plan."""
+    """One trajectory record: per-experiment plans vs one grid-wide plan."""
     legacy = run_pass("legacy", n_instructions, seed, jobs)
     plan = run_pass("plan", n_instructions, seed, jobs)
     if legacy["digest"] != plan["digest"]:
         raise AssertionError(
-            "plan-executed report renderings diverged from the legacy path"
+            "grid-wide report renderings diverged from the per-experiment "
+            "comparator"
         )
     stats = plan["plan"] or {}
     if stats.get("inputs_primed") != stats.get("inputs_total"):

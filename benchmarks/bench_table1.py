@@ -1,11 +1,12 @@
 """Benchmark: regenerate the paper's Table 1 (SPEC memory-CPI breakdown)."""
 
 from repro.experiments import table1
+from repro.plan.executor import run_experiment
 
 
 def test_table1(benchmark, settings, report):
-    result = benchmark.pedantic(
-        table1.run, args=(settings,), rounds=1, iterations=1
+    result, _timing = benchmark.pedantic(
+        run_experiment, args=(table1, settings), rounds=1, iterations=1
     )
     report.append(result.render())
 

@@ -1,11 +1,12 @@
 """Benchmark: regenerate the paper's Table 3 (IBS vs SPEC memory CPI)."""
 
 from repro.experiments import table3
+from repro.plan.executor import run_experiment
 
 
 def test_table3(benchmark, settings, report):
-    result = benchmark.pedantic(
-        table3.run, args=(settings,), rounds=1, iterations=1
+    result, _timing = benchmark.pedantic(
+        run_experiment, args=(table3, settings), rounds=1, iterations=1
     )
     report.append(result.render())
 

@@ -3,11 +3,12 @@
 import numpy as np
 
 from repro.experiments import table4
+from repro.plan.executor import run_experiment
 
 
 def test_table4(benchmark, settings, report):
-    result = benchmark.pedantic(
-        table4.run, args=(settings,), rounds=1, iterations=1
+    result, _timing = benchmark.pedantic(
+        run_experiment, args=(table4, settings), rounds=1, iterations=1
     )
     report.append(result.render())
 

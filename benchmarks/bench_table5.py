@@ -1,11 +1,12 @@
 """Benchmark: regenerate the paper's Table 5 (baseline CPIinstr)."""
 
 from repro.experiments import table5
+from repro.plan.executor import run_experiment
 
 
 def test_table5(benchmark, settings, report):
-    result = benchmark.pedantic(
-        table5.run, args=(settings,), rounds=1, iterations=1
+    result, _timing = benchmark.pedantic(
+        run_experiment, args=(table5, settings), rounds=1, iterations=1
     )
     report.append(result.render())
 

@@ -1,11 +1,12 @@
 """Benchmark: regenerate the paper's Table 6 (sequential prefetch-on-miss)."""
 
 from repro.experiments import table6
+from repro.plan.executor import run_experiment
 
 
 def test_table6(benchmark, settings, report):
-    result = benchmark.pedantic(
-        table6.run, args=(settings,), rounds=1, iterations=1
+    result, _timing = benchmark.pedantic(
+        run_experiment, args=(table6, settings), rounds=1, iterations=1
     )
     report.append(result.render())
 

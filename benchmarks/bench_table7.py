@@ -1,11 +1,12 @@
 """Benchmark: regenerate the paper's Table 7 (prefetching + bypassing)."""
 
 from repro.experiments import table7
+from repro.plan.executor import run_experiment
 
 
 def test_table7(benchmark, settings, report):
-    result = benchmark.pedantic(
-        table7.run, args=(settings,), rounds=1, iterations=1
+    result, _timing = benchmark.pedantic(
+        run_experiment, args=(table7, settings), rounds=1, iterations=1
     )
     report.append(result.render())
 

@@ -1,11 +1,12 @@
 """Benchmark: regenerate the paper's Table 8 (pipelined + stream buffer)."""
 
 from repro.experiments import table8
+from repro.plan.executor import run_experiment
 
 
 def test_table8(benchmark, settings, report):
-    result = benchmark.pedantic(
-        table8.run, args=(settings,), rounds=1, iterations=1
+    result, _timing = benchmark.pedantic(
+        run_experiment, args=(table8, settings), rounds=1, iterations=1
     )
     report.append(result.render())
 

@@ -6,6 +6,11 @@ compiler code placement (§2), and the multi-issue implications of the
 CPIinstr floor (conclusion).  This example runs all of those studies
 and prints the findings.
 
+Every study runs through ``run_experiment``, the one way to run an
+experiment: it compiles the module's plan, primes the shared traces
+once, and executes the cells.  Keyword arguments narrow a study's
+sweep (fewer cache sizes, a subset of workloads).
+
 Run:  python examples/beyond_the_paper.py
 """
 
@@ -17,12 +22,19 @@ from repro.experiments import (
     ext_prefetch,
 )
 from repro.experiments.common import ExperimentSettings
+from repro.plan.executor import run_experiment
 
 SETTINGS = ExperimentSettings(n_instructions=200_000, seed=0)
 
 
+def study(module, **overrides):
+    """One extension study's result at the example's settings."""
+    result, _timing = run_experiment(module, SETTINGS, **overrides)
+    return result
+
+
 def main() -> None:
-    print(ext_prefetch.run(SETTINGS).render())
+    print(study(ext_prefetch).render())
     print(
         "\n-> Miss-correlation (Markov) prefetching helps, and helps "
         "*on top of* sequential fetch (hybrid), but plain sequential "
@@ -30,7 +42,7 @@ def main() -> None:
         "instruction streams.\n"
     )
 
-    print(ext_conflict.run(SETTINGS, sizes=(8192, 32768)).render())
+    print(study(ext_conflict, sizes=(8192, 32768)).render())
     print(
         "\n-> Hardware associativity dominates; small victim caches "
         "help at the margin; reactive CML recoloring is near-neutral "
@@ -38,7 +50,7 @@ def main() -> None:
         "Section 5.1 remark.\n"
     )
 
-    placement = ext_placement.run(SETTINGS, workload_names=("groff", "gs", "sdet"))
+    placement = study(ext_placement, workload_names=("groff", "gs", "sdet"))
     print(placement.render())
     print(
         f"\n-> Software placement recovers ~{placement.mean_reduction():.0%} "
@@ -46,8 +58,8 @@ def main() -> None:
         "the capacity misses that dominate bloated code.\n"
     )
 
-    components = ext_components.run(
-        SETTINGS, workload_names=("mpeg_play", "sdet", "groff")
+    components = study(
+        ext_components, workload_names=("mpeg_play", "sdet", "groff")
     )
     print(components.render())
     print(
@@ -56,7 +68,7 @@ def main() -> None:
         "kind of code.\n"
     )
 
-    print(ext_multiissue.run(SETTINGS).render())
+    print(study(ext_multiissue).render())
     print(
         "\n-> The paper's conclusion, quantified: the optimized system's "
         "fetch floor costs a quad-issue machine about half its "

@@ -53,8 +53,8 @@ from repro.core.config import MemorySystemConfig
 from repro.core.study import ENGINES, MECHANISMS, evaluate
 from repro.experiments import ALL_EXPERIMENTS, EXTENSION_EXPERIMENTS
 from repro.experiments.common import ExperimentSettings
+from repro.plan.executor import run_experiment, run_report
 from repro.runner.cache import CACHE_DIR_ENV, TraceDiskCache, cache_from_environment
-from repro.runner.pool import run_experiment, run_report
 from repro.trace.io import save_trace
 from repro.workloads.registry import (
     get_workload,

@@ -1,13 +1,21 @@
 """One module per table and figure of the paper's evaluation.
 
-Every module exposes:
+Every module is specified once, as a sweep plan (:mod:`repro.plan`):
 
-* ``run(...) -> <Result dataclass>`` — computes the experiment, with
-  ``n_instructions``/``seed`` knobs so tests can run scaled-down
-  versions; and
+* ``plan_cells(settings, **overrides) -> list[PlanCell]`` — the cells
+  that compute the experiment, annotated with the shared inputs they
+  read;
+* ``merge(settings, results, **overrides) -> <Result dataclass>`` —
+  present when there is more than one cell; reassembles the cell
+  results; and
 * ``Result.render() -> str`` — a text table/series mirroring the
   paper's presentation, including the paper's own numbers alongside the
   reproduction for direct comparison.
+
+Run one with :func:`repro.plan.executor.run_experiment`; its keyword
+overrides (a smaller sweep, a subset of workloads) reach ``plan_cells``
+and ``merge``, and ``settings`` carries the ``n_instructions``/``seed``
+knobs tests use to run scaled-down versions.
 
 The mapping to the paper:
 

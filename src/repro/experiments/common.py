@@ -1,10 +1,8 @@
 """Shared experiment harness.
 
 Each experiment sweeps configurations over workload suites; this module
-provides the common plumbing: settings, cached trace access,
-suite-averaged evaluation helpers, and the cell API
-(:class:`~repro.runner.pool.ExperimentCell`) through which the parallel
-runner schedules an experiment's independent units.
+provides the common plumbing: settings, cached trace access, and
+suite-averaged evaluation helpers that experiments' plan cells call.
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ from repro.core.config import MemorySystemConfig
 from repro.core.metrics import DEFAULT_WARMUP_FRACTION
 from repro.core.study import ENGINES, StudyResult, evaluate_trace
 from repro.plan import inputs as plan_inputs
-from repro.runner.pool import ExperimentCell, has_cells
 from repro.trace.rle import LineRuns
 from repro.trace.trace import Trace
 from repro.workloads.registry import (
@@ -33,12 +30,10 @@ from repro.workloads.registry import (
 
 __all__ = [
     "DEFAULT_SETTINGS",
-    "ExperimentCell",
     "ExperimentSettings",
     "FetchPoint",
     "canonical_job_key",
     "fetch_point",
-    "has_cells",
     "settings_record",
     "suite_cpi_instr",
     "suite_evaluate",
@@ -250,27 +245,6 @@ def fetch_point(
         mechanism=mechanism,
         options=tuple(sorted(options.items())),
     )
-
-
-#: Deprecated aliases: these helpers were private to this module until
-#: the sweep-plan IR promoted them to :mod:`repro.plan.inputs`.  The
-#: old underscore names keep working for external callers; new code
-#: should import the public names from ``repro.plan``.
-_DEMAND_MASK_MECHANISMS = plan_inputs.DEMAND_MASK_MECHANISMS
-
-
-def _mask_shape_plan(
-    points: list[FetchPoint], engine: str
-) -> dict[tuple[int, int], set[tuple[int, int]]]:
-    """Deprecated shim for :func:`repro.plan.inputs.mask_shape_plan`."""
-    return plan_inputs.mask_shape_plan(points, engine)
-
-
-def _prime_miss_masks(
-    trace: Trace, plan: dict[tuple[int, int], set[tuple[int, int]]]
-) -> None:
-    """Deprecated shim for :func:`repro.plan.inputs.prime_miss_masks`."""
-    plan_inputs.prime_miss_masks(trace, plan)
 
 
 def sweep_fetch_cpi(

@@ -41,6 +41,8 @@ L1_SIZES = (4096, 8192, 16384)
 L2_ASSOCIATIVITIES = (1, 8)
 L2_LINE = 64
 
+SUITES = ("spec92", "ibs-mach3")
+
 #: Area budgets, expressed in rbe (~the area of 48/96/192 KB of SRAM).
 BUDGETS_RBE = tuple(int(k * 1024 * 8 * 0.6 * 1.1) for k in (48, 96, 192))
 
@@ -127,12 +129,11 @@ def _largest_l2(budget_rbe: float, l1: CacheGeometry, ways: int) -> CacheGeometr
     return best
 
 
-def run(
-    settings: ExperimentSettings = DEFAULT_SETTINGS,
-    suites: tuple[str, ...] = ("spec92", "ibs-mach3"),
-    budgets: tuple[int, ...] = BUDGETS_RBE,
+def _compute(
+    settings: ExperimentSettings, budgets: tuple[int, ...]
 ) -> ExtAreaResult:
-    """Enumerate legal configurations per budget; evaluate per suite."""
+    """One cell: enumerate legal configurations per budget; evaluate
+    per suite."""
     base = MemorySystemConfig.high_performance()
     points: dict[tuple[str, int], tuple[AreaPoint, ...]] = {}
     for budget in budgets:
@@ -146,7 +147,7 @@ def run(
                 l2 = _largest_l2(budget, l1, ways)
                 if l2 is not None:
                     configs.append((l1, l2))
-        for suite in suites:
+        for suite in SUITES:
             evaluated = []
             for l1, l2 in configs:
                 config = base.with_l1(l1)
@@ -162,7 +163,10 @@ def run(
     return ExtAreaResult(points=points)
 
 
-def plan_cells(settings: ExperimentSettings = DEFAULT_SETTINGS):
+def plan_cells(
+    settings: ExperimentSettings = DEFAULT_SETTINGS,
+    budgets: tuple[int, ...] = BUDGETS_RBE,
+):
     """The sweep-plan compilation.
 
     The legal-configuration grid depends on the budget argument, so
@@ -170,5 +174,5 @@ def plan_cells(settings: ExperimentSettings = DEFAULT_SETTINGS):
     cell-private.
     """
     return plan_inputs.run_cell(
-        "ext_area", run, settings, suites=("spec92", "ibs-mach3")
+        "ext_area", _compute, settings, args=(budgets,), suites=SUITES
     )

@@ -29,6 +29,7 @@ from repro.workloads.registry import get_workload
 from repro.plan import inputs as plan_inputs
 
 REFERENCE = CacheGeometry(8192, 32, 1)
+WORKLOAD = "gcc"
 
 #: Bloat stages: (label, footprint multiplier, visit-length multiplier).
 #: Growing code with more module boundaries both adds lines and
@@ -84,13 +85,12 @@ class ExtBloatResult:
         return [s.mpi_8kb for s in self.stages.values()]
 
 
-def run(
-    settings: ExperimentSettings = DEFAULT_SETTINGS,
-    workload_name: str = "gcc",
-    stages: tuple[tuple[str, float, float], ...] = STAGES,
+def _compute(
+    settings: ExperimentSettings,
+    stages: tuple[tuple[str, float, float], ...],
 ) -> ExtBloatResult:
-    """Sweep bloat stages for one workload."""
-    base = get_workload(workload_name, "mach3")
+    """One cell: sweep the bloat stages of one workload."""
+    base = get_workload(WORKLOAD, "mach3")
     optimized = MemorySystemConfig.high_performance().with_l2(L2)
     results: dict[str, BloatStage] = {}
     for label, footprint_factor, visit_factor in stages:
@@ -111,9 +111,14 @@ def run(
         results[label] = BloatStage(
             mpi_8kb=mpi, cpi_optimized=study.cpi_instr
         )
-    return ExtBloatResult(workload=workload_name, stages=results)
+    return ExtBloatResult(workload=WORKLOAD, stages=results)
 
 
-def plan_cells(settings: ExperimentSettings = DEFAULT_SETTINGS):
+def plan_cells(
+    settings: ExperimentSettings = DEFAULT_SETTINGS,
+    stages: tuple[tuple[str, float, float], ...] = STAGES,
+):
     """The sweep-plan compilation: scaled traces are synthesized per stage."""
-    return plan_inputs.run_cell("ext_bloat", run, settings)
+    return plan_inputs.run_cell(
+        "ext_bloat", _compute, settings, args=(stages,)
+    )

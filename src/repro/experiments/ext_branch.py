@@ -71,21 +71,17 @@ class ExtBranchResult:
         return 1.0 - large / small
 
 
-def run(
-    settings: ExperimentSettings = DEFAULT_SETTINGS,
-    btb_sizes: tuple[int, ...] = BTB_SIZES,
-    suites: tuple[str, ...] = SUITES,
-) -> ExtBranchResult:
-    """Sweep BTB sizes over both suites."""
+def _compute(settings: ExperimentSettings) -> ExtBranchResult:
+    """One cell: sweep BTB sizes over both suites."""
     cells: dict[tuple[str, int], tuple[float, float]] = {}
-    for suite in suites:
+    for suite in SUITES:
         streams = [
             get_trace(
                 name, os_name, settings.n_instructions, settings.seed
             ).ifetch_addresses()
             for name, os_name in suite_workloads(suite)
         ]
-        for size in btb_sizes:
+        for size in BTB_SIZES:
             taken_rates = []
             mispredict_rates = []
             for addresses in streams:
@@ -103,4 +99,4 @@ def run(
 def plan_cells(settings: ExperimentSettings = DEFAULT_SETTINGS):
     """The sweep-plan compilation: the BTB walks raw addresses, so only
     the suites' traces are shared."""
-    return plan_inputs.run_cell("ext_branch", run, settings, suites=SUITES)
+    return plan_inputs.run_cell("ext_branch", _compute, settings, suites=SUITES)

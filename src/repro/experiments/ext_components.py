@@ -28,6 +28,7 @@ from repro.workloads.registry import get_trace, suite_workloads
 from repro.plan import inputs as plan_inputs
 
 REFERENCE = CacheGeometry(8192, 32, 1)
+SUITE = "ibs-mach3"
 
 
 @dataclass(frozen=True)
@@ -90,13 +91,12 @@ class ExtComponentsResult:
         return os_miss / os_exec
 
 
-def run(
-    settings: ExperimentSettings = DEFAULT_SETTINGS,
-    suite: str = "ibs-mach3",
-    workload_names: tuple[str, ...] | None = None,
+def _compute(
+    settings: ExperimentSettings, workload_names: tuple[str, ...] | None
 ) -> ExtComponentsResult:
-    """Attribute misses to components for each suite workload."""
-    pairs = suite_workloads(suite)
+    """One cell: attribute misses to components for each suite workload
+    (all of them, or only ``workload_names``)."""
+    pairs = suite_workloads(SUITE)
     if workload_names is not None:
         pairs = [(n, o) for n, o in pairs if n in workload_names]
     rows: dict[str, dict[Component, ComponentShare]] = {}
@@ -126,9 +126,13 @@ def run(
     return ExtComponentsResult(rows=rows)
 
 
-def plan_cells(settings: ExperimentSettings = DEFAULT_SETTINGS):
+def plan_cells(
+    settings: ExperimentSettings = DEFAULT_SETTINGS,
+    workload_names: tuple[str, ...] | None = None,
+):
     """The sweep-plan compilation: per-component attribution reads the
     raw traces directly."""
     return plan_inputs.run_cell(
-        "ext_components", run, settings, suites=("ibs-mach3",)
+        "ext_components", _compute, settings,
+        args=(workload_names,), suites=(SUITE,),
     )

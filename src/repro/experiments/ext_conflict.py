@@ -36,6 +36,8 @@ from repro.plan import inputs as plan_inputs
 LINE_SIZE = 32
 TIMING = MemoryTiming(latency=6, bytes_per_cycle=16)
 REMEDIES = ("direct-mapped", "victim-4", "cml", "2-way", "8-way")
+SIZES = (8192, 16384, 32768, 65536)
+SUITE = "ibs-mach3"
 
 
 @dataclass(frozen=True)
@@ -66,14 +68,12 @@ def _suite_mean_mpi(per_workload: list[float]) -> float:
     return float(np.mean(per_workload))
 
 
-def run(
-    settings: ExperimentSettings = DEFAULT_SETTINGS,
-    sizes: tuple[int, ...] = (8192, 16384, 32768, 65536),
-    suite: str = "ibs-mach3",
+def _compute(
+    settings: ExperimentSettings, sizes: tuple[int, ...]
 ) -> ExtConflictResult:
-    """Compare the remedies over a suite across cache sizes."""
+    """One cell: compare the remedies over a suite across cache sizes."""
     cells: dict[tuple[int, str], float] = {}
-    workloads = suite_workloads(suite)
+    workloads = suite_workloads(SUITE)
     streams: list[LineRuns] = []
     for name, os_name in workloads:
         trace = get_trace(name, os_name, settings.n_instructions, settings.seed)
@@ -118,9 +118,12 @@ def run(
     return ExtConflictResult(cells=cells)
 
 
-def plan_cells(settings: ExperimentSettings = DEFAULT_SETTINGS):
+def plan_cells(
+    settings: ExperimentSettings = DEFAULT_SETTINGS,
+    sizes: tuple[int, ...] = SIZES,
+):
     """The sweep-plan compilation: the remedies build their own RLE
     streams, so only the suite's traces are shared."""
     return plan_inputs.run_cell(
-        "ext_conflict", run, settings, suites=("ibs-mach3",)
+        "ext_conflict", _compute, settings, args=(sizes,), suites=(SUITE,)
     )

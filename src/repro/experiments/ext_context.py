@@ -63,12 +63,8 @@ class ExtContextResult:
         return self.cells[(size, quantum)] / self.solo[size] - 1.0
 
 
-def run(
-    settings: ExperimentSettings = DEFAULT_SETTINGS,
-    quanta: tuple[int, ...] = QUANTA,
-    sizes: tuple[int, ...] = SIZES,
-) -> ExtContextResult:
-    """Sweep scheduling quantum for a two-task IBS mix."""
+def _compute(settings: ExperimentSettings) -> ExtContextResult:
+    """One cell: sweep the scheduling quantum for a two-task IBS mix."""
     traces = [
         ifetch_only(get_trace(name, os_name, settings.n_instructions,
                               settings.seed))
@@ -78,13 +74,13 @@ def run(
 
     cells: dict[tuple[int, int], float] = {}
     solo: dict[int, float] = {}
-    for size in sizes:
+    for size in SIZES:
         geometry = CacheGeometry(size, 32, 1)
         solo[size] = sum(
             measure_mpi(runs, geometry, settings.warmup_fraction).mpi_per_100
             for runs in solo_runs
         ) / len(solo_runs)
-        for quantum in quanta:
+        for quantum in QUANTA:
             merged = interleave(traces, quantum)
             runs = to_line_runs(merged.addresses, 32)
             cells[(size, quantum)] = measure_mpi(
@@ -95,4 +91,4 @@ def run(
 
 def plan_cells(settings: ExperimentSettings = DEFAULT_SETTINGS):
     """The sweep-plan compilation: the two interleaved workloads' traces."""
-    return plan_inputs.run_cell("ext_context", run, settings, workloads=PAIR)
+    return plan_inputs.run_cell("ext_context", _compute, settings, workloads=PAIR)

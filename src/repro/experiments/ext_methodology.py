@@ -38,6 +38,7 @@ from repro.workloads.registry import get_trace, suite_workloads
 
 L2 = CacheGeometry(64 * 1024, 64, 8)
 METHODS = ("additive (paper)", "integrated", "integrated + shared data")
+SUITE = "ibs-mach3"
 
 
 @dataclass(frozen=True)
@@ -75,14 +76,11 @@ class ExtMethodologyResult:
         ) / integrated
 
 
-def run(
-    settings: ExperimentSettings = DEFAULT_SETTINGS,
-    suite: str = "ibs-mach3",
-) -> ExtMethodologyResult:
-    """Audit the additive methodology over a suite."""
+def _compute(settings: ExperimentSettings) -> ExtMethodologyResult:
+    """One cell: audit the additive methodology over a suite."""
     base = MemorySystemConfig.economy().with_l2(L2)
     additive, integrated, shared = [], [], []
-    for name, os_name in suite_workloads(suite):
+    for name, os_name in suite_workloads(SUITE):
         trace = get_trace(name, os_name, settings.n_instructions, settings.seed)
 
         paper_method = evaluate_trace(
@@ -119,7 +117,7 @@ def plan_cells(settings: ExperimentSettings = DEFAULT_SETTINGS):
     integrated engine replays raw streams privately."""
     base = MemorySystemConfig.economy().with_l2(L2)
     return plan_inputs.run_cell(
-        "ext_methodology", run, settings,
-        suites=("ibs-mach3",),
+        "ext_methodology", _compute, settings,
+        suites=(SUITE,),
         points=[fetch_point(("ext_methodology",), base, "demand")],
     )

@@ -32,6 +32,16 @@ from repro.plan import inputs as plan_inputs
 
 WIDTHS = (1, 2, 4, 8)
 L2 = CacheGeometry(64 * 1024, 64, 8)
+SUITES = ("ibs-mach3", "spec92")
+
+#: The fully optimized system: pipelined L1-L2 interface, 8-way L2.
+OPTIMIZED = MemorySystemConfig(
+    "optimized",
+    l1=CacheGeometry(8192, 32, 1),
+    memory=MemorySystemConfig.high_performance().memory,
+    l2=L2,
+    l1_interface=MemoryTiming(latency=6, bytes_per_cycle=32),
+)
 
 
 @dataclass(frozen=True)
@@ -76,23 +86,14 @@ class ExtMultiIssueResult:
         raise KeyError(width)
 
 
-def run(
-    settings: ExperimentSettings = DEFAULT_SETTINGS,
-    suites: tuple[str, ...] = ("ibs-mach3", "spec92"),
-) -> ExtMultiIssueResult:
-    """Project issue widths from the optimized system's measured floor."""
-    pipelined = MemorySystemConfig(
-        "optimized",
-        l1=CacheGeometry(8192, 32, 1),
-        memory=MemorySystemConfig.high_performance().memory,
-        l2=L2,
-        l1_interface=MemoryTiming(latency=6, bytes_per_cycle=32),
-    )
+def _compute(settings: ExperimentSettings) -> ExtMultiIssueResult:
+    """One cell: project issue widths from the optimized system's
+    measured floor."""
     cpi_instr: dict[str, float] = {}
     projections: dict[str, list[IssueProjection]] = {}
-    for suite in suites:
+    for suite in SUITES:
         l1, l2 = suite_cpi_instr(
-            suite, pipelined, "stream-buffer", settings, n_lines=6
+            suite, OPTIMIZED, "stream-buffer", settings, n_lines=6
         )
         floor = l1 + l2
         cpi_instr[suite] = floor
@@ -103,19 +104,12 @@ def run(
 def plan_cells(settings: ExperimentSettings = DEFAULT_SETTINGS):
     """The sweep-plan compilation: one cell sharing both suites' traces
     plus the optimized system's stream and demand mask."""
-    pipelined = MemorySystemConfig(
-        "optimized",
-        l1=CacheGeometry(8192, 32, 1),
-        memory=MemorySystemConfig.high_performance().memory,
-        l2=L2,
-        l1_interface=MemoryTiming(latency=6, bytes_per_cycle=32),
-    )
     return plan_inputs.run_cell(
-        "ext_multiissue", run, settings,
-        suites=("ibs-mach3", "spec92"),
+        "ext_multiissue", _compute, settings,
+        suites=SUITES,
         points=[
             fetch_point(
-                ("ext_multiissue",), pipelined, "stream-buffer", n_lines=6
+                ("ext_multiissue",), OPTIMIZED, "stream-buffer", n_lines=6
             )
         ],
     )

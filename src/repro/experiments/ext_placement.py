@@ -126,11 +126,11 @@ def _mpi(addresses, warmup: float) -> float:
     ).mpi_per_100
 
 
-def run(
-    settings: ExperimentSettings = DEFAULT_SETTINGS,
-    workload_names: tuple[str, ...] | None = None,
+def _compute(
+    settings: ExperimentSettings, workload_names: tuple[str, ...] | None
 ) -> ExtPlacementResult:
-    """Evaluate heat-ordered placement, isolated and interleaved."""
+    """One cell: evaluate heat-ordered placement, isolated and
+    interleaved, for every IBS workload (or only ``workload_names``)."""
     names = workload_names or tuple(IBS_WORKLOADS)
     rows: dict[str, PlacementRow] = {}
     for name in names:
@@ -162,6 +162,11 @@ def run(
     return ExtPlacementResult(rows=rows)
 
 
-def plan_cells(settings: ExperimentSettings = DEFAULT_SETTINGS):
+def plan_cells(
+    settings: ExperimentSettings = DEFAULT_SETTINGS,
+    workload_names: tuple[str, ...] | None = None,
+):
     """The sweep-plan compilation: placement re-synthesizes its traces."""
-    return plan_inputs.run_cell("ext_placement", run, settings)
+    return plan_inputs.run_cell(
+        "ext_placement", _compute, settings, args=(workload_names,)
+    )

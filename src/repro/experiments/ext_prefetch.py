@@ -39,6 +39,7 @@ TIMING = MemoryTiming(latency=6, bytes_per_cycle=16)
 GEOMETRY = CacheGeometry(8192, LINE_SIZE, 1)
 
 SCHEMES = ("demand", "tagged", "stream-buffer-4", "markov", "hybrid")
+SUITE = "ibs-mach3"
 
 
 @dataclass(frozen=True)
@@ -86,13 +87,10 @@ def _engine(scheme: str):
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def run(
-    settings: ExperimentSettings = DEFAULT_SETTINGS,
-    suite: str = "ibs-mach3",
-) -> ExtPrefetchResult:
-    """Compare prefetch schemes over a suite."""
+def _compute(settings: ExperimentSettings) -> ExtPrefetchResult:
+    """One cell: compare prefetch schemes over a suite."""
     cells: dict[tuple[str, str], float] = {}
-    for name, os_name in suite_workloads(suite):
+    for name, os_name in suite_workloads(SUITE):
         trace = get_trace(name, os_name, settings.n_instructions, settings.seed)
         runs = to_line_runs(trace.ifetch_addresses(), LINE_SIZE)
         for scheme in SCHEMES:
@@ -106,5 +104,5 @@ def plan_cells(settings: ExperimentSettings = DEFAULT_SETTINGS):
     """The sweep-plan compilation: history-based engines replay raw
     streams, so only the suite's traces are shared."""
     return plan_inputs.run_cell(
-        "ext_prefetch", run, settings, suites=("ibs-mach3",)
+        "ext_prefetch", _compute, settings, suites=(SUITE,)
     )

@@ -26,6 +26,7 @@ from repro.plan import inputs as plan_inputs
 
 GEOMETRY = CacheGeometry(8192, 32, 1)
 FRACTIONS = (0.05, 0.1, 0.2, 0.5)
+SUITES = ("ibs-mach3",)
 WINDOW = 10_000
 
 
@@ -58,14 +59,13 @@ class ExtSamplingResult:
         return self.cells[(suite, fraction)][0]
 
 
-def run(
-    settings: ExperimentSettings = DEFAULT_SETTINGS,
-    suite_names: tuple[str, ...] = ("ibs-mach3",),
-    fractions: tuple[float, ...] = FRACTIONS,
+def _compute(
+    settings: ExperimentSettings, fractions: tuple[float, ...]
 ) -> ExtSamplingResult:
-    """Sweep sampled fraction; compare against full simulation."""
+    """One cell: sweep the sampled fraction; compare against full
+    simulation."""
     cells: dict[tuple[str, float], tuple[float, float]] = {}
-    for suite in suite_names:
+    for suite in SUITES:
         streams = []
         for name, os_name in suite_workloads(suite):
             addresses = get_trace(
@@ -99,8 +99,11 @@ def run(
     return ExtSamplingResult(cells=cells)
 
 
-def plan_cells(settings: ExperimentSettings = DEFAULT_SETTINGS):
+def plan_cells(
+    settings: ExperimentSettings = DEFAULT_SETTINGS,
+    fractions: tuple[float, ...] = FRACTIONS,
+):
     """The sweep-plan compilation: sampled replicas share the traces."""
     return plan_inputs.run_cell(
-        "ext_sampling", run, settings, suites=("ibs-mach3",)
+        "ext_sampling", _compute, settings, args=(fractions,), suites=SUITES
     )

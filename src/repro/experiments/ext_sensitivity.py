@@ -26,6 +26,7 @@ from repro.workloads.registry import get_workload
 from repro.plan import inputs as plan_inputs
 
 REFERENCE = CacheGeometry(8192, 32, 1)
+WORKLOAD = "groff"
 
 #: Knob -> (low multiplier, high multiplier, expected direction of MPI
 #: as the knob increases: +1 up, -1 down).
@@ -92,12 +93,10 @@ def _mpi(workload, settings: ExperimentSettings) -> float:
     return float(sum(values) / len(values))
 
 
-def run(
-    settings: ExperimentSettings = DEFAULT_SETTINGS,
-    workload_name: str = "groff",
-) -> ExtSensitivityResult:
-    """Sweep each knob of one workload's components, low and high."""
-    base = get_workload(workload_name, "mach3")
+def _compute(settings: ExperimentSettings) -> ExtSensitivityResult:
+    """One cell: sweep each knob of one workload's components, low and
+    high."""
+    base = get_workload(WORKLOAD, "mach3")
     baseline = _mpi(base, settings)
     rows: dict[str, tuple[float, float]] = {}
     for knob, (low_mult, high_mult, _direction) in KNOBS.items():
@@ -123,4 +122,4 @@ def run(
 
 def plan_cells(settings: ExperimentSettings = DEFAULT_SETTINGS):
     """The sweep-plan compilation: every variant trace is bespoke."""
-    return plan_inputs.run_cell("ext_sensitivity", run, settings)
+    return plan_inputs.run_cell("ext_sensitivity", _compute, settings)

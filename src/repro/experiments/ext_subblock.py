@@ -36,6 +36,7 @@ from repro.plan import inputs as plan_inputs
 TIMING = MemoryTiming(latency=6, bytes_per_cycle=16)
 SIZE = 8192
 CONFIGS = ("64B plain", "16B + 3 prefetch", "64B/16B sub-block")
+SUITE = "ibs-mach3"
 
 
 @dataclass(frozen=True)
@@ -81,13 +82,10 @@ def _subblock_cpi(
     return stalls / instructions
 
 
-def run(
-    settings: ExperimentSettings = DEFAULT_SETTINGS,
-    suite: str = "ibs-mach3",
-) -> ExtSubblockResult:
-    """Reproduce the footnote comparison over a suite."""
+def _compute(settings: ExperimentSettings) -> ExtSubblockResult:
+    """One cell: reproduce the footnote comparison over a suite."""
     plain_values, prefetch_values, subblock_values = [], [], []
-    for name, os_name in suite_workloads(suite):
+    for name, os_name in suite_workloads(SUITE):
         trace = get_trace(name, os_name, settings.n_instructions, settings.seed)
         addresses = trace.ifetch_addresses()
 
@@ -120,5 +118,5 @@ def plan_cells(settings: ExperimentSettings = DEFAULT_SETTINGS):
     """The sweep-plan compilation: the engines replay raw streams, so
     only the suite's traces are shared."""
     return plan_inputs.run_cell(
-        "ext_subblock", run, settings, suites=("ibs-mach3",)
+        "ext_subblock", _compute, settings, suites=(SUITE,)
     )

@@ -75,11 +75,11 @@ class ExtTlbResult:
         return float(np.mean(values)) if values else 0.0
 
 
-def run(
-    settings: ExperimentSettings = DEFAULT_SETTINGS,
-    workload_names: tuple[str, ...] | None = None,
+def _compute(
+    settings: ExperimentSettings, workload_names: tuple[str, ...] | None
 ) -> ExtTlbResult:
-    """Classify TLB costs for IBS under both OS models."""
+    """One cell: classify TLB costs for IBS under both OS models (every
+    workload, or only ``workload_names``)."""
     rows: dict[tuple[str, str], TlbRow] = {}
     for suite, os_label in (("ibs-mach3", "mach3"), ("ibs-ultrix", "ultrix")):
         for name, os_name in suite_workloads(suite):
@@ -101,9 +101,13 @@ def run(
     return ExtTlbResult(rows=rows)
 
 
-def plan_cells(settings: ExperimentSettings = DEFAULT_SETTINGS):
+def plan_cells(
+    settings: ExperimentSettings = DEFAULT_SETTINGS,
+    workload_names: tuple[str, ...] | None = None,
+):
     """The sweep-plan compilation: TLB simulation walks raw traces of
     both OS suites."""
     return plan_inputs.run_cell(
-        "ext_tlb", run, settings, suites=("ibs-mach3", "ibs-ultrix")
+        "ext_tlb", _compute, settings,
+        args=(workload_names,), suites=("ibs-mach3", "ibs-ultrix"),
     )

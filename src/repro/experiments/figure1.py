@@ -27,7 +27,6 @@ from repro.plan import inputs as plan_inputs
 from repro.plan.ir import MaskFamily, PlanCell
 from repro.experiments.common import (
     DEFAULT_SETTINGS,
-    ExperimentCell,
     ExperimentSettings,
     suite_runs,
 )
@@ -98,22 +97,6 @@ def _measure_point(
     )
 
 
-def _cells(
-    settings: ExperimentSettings, cache_sizes: tuple[int, ...]
-) -> list[ExperimentCell]:
-    return [
-        ExperimentCell(key=(suite, size), fn=_measure_point,
-                       args=(suite, size, settings))
-        for suite in SUITES
-        for size in cache_sizes
-    ]
-
-
-def cells(settings: ExperimentSettings = DEFAULT_SETTINGS) -> list[ExperimentCell]:
-    """One cell per (suite, cache size) curve point."""
-    return _cells(settings, CACHE_SIZES)
-
-
 def _mask_family(size: int) -> MaskFamily:
     """The three-Cs masks of one size: direct-mapped + the 8-way reference.
 
@@ -130,8 +113,11 @@ def _mask_family(size: int) -> MaskFamily:
     )
 
 
-def plan_cells(settings: ExperimentSettings = DEFAULT_SETTINGS) -> list[PlanCell]:
-    """The sweep-plan compilation: per-point cells with mask families."""
+def plan_cells(
+    settings: ExperimentSettings = DEFAULT_SETTINGS,
+    cache_sizes: tuple[int, ...] = CACHE_SIZES,
+) -> list[PlanCell]:
+    """Figure 1 for both suites: one cell per (suite, cache size) point."""
     return [
         PlanCell(
             key=(suite, size),
@@ -141,30 +127,18 @@ def plan_cells(settings: ExperimentSettings = DEFAULT_SETTINGS) -> list[PlanCell
             masks=(_mask_family(size),),
         )
         for suite in SUITES
-        for size in CACHE_SIZES
+        for size in cache_sizes
     ]
 
 
 def merge(
-    settings: ExperimentSettings, results: list[ThreeCsRates]
+    settings: ExperimentSettings,
+    results: list[ThreeCsRates],
+    cache_sizes: tuple[int, ...] = CACHE_SIZES,
 ) -> Figure1Result:
     """Reassemble the per-point rates into both suites' curves."""
     curves: dict[str, dict[int, ThreeCsRates]] = {}
     iterator = iter(results)
     for suite in SUITES:
-        curves[suite] = {size: next(iterator) for size in CACHE_SIZES}
-    return Figure1Result(curves=curves)
-
-
-def run(
-    settings: ExperimentSettings = DEFAULT_SETTINGS,
-    cache_sizes: tuple[int, ...] = CACHE_SIZES,
-) -> Figure1Result:
-    """Reproduce Figure 1 for both suites across the size range."""
-    curves: dict[str, dict[int, ThreeCsRates]] = {}
-    for suite in SUITES:
-        curves[suite] = {
-            size: _measure_point(suite, size, settings)
-            for size in cache_sizes
-        }
+        curves[suite] = {size: next(iterator) for size in cache_sizes}
     return Figure1Result(curves=curves)

@@ -49,8 +49,8 @@ class Figure2Result:
         return "\n".join(lines)
 
 
-def run(settings: ExperimentSettings = DEFAULT_SETTINGS) -> Figure2Result:
-    """Reproduce Figure 2's structural contrast, with trace evidence."""
+def _compute(settings: ExperimentSettings) -> Figure2Result:
+    """One cell: reproduce Figure 2's structural contrast, with trace evidence."""
     inventories = {
         "Ultrix (monolithic)": os_component_inventory(ULTRIX),
         "Mach 3.0 (microkernel)": os_component_inventory(MACH3),
@@ -74,6 +74,6 @@ COMPONENT_LABELS = dict(COMPONENT_NAMES)
 def plan_cells(settings: ExperimentSettings = DEFAULT_SETTINGS):
     """The sweep-plan compilation: one cell sharing all three suites' traces."""
     return plan_inputs.run_cell(
-        "figure2", run, settings,
+        "figure2", _compute, settings,
         suites=("spec92", "ibs-ultrix", "ibs-mach3"),
     )

@@ -19,7 +19,6 @@ from repro.caches.base import CacheGeometry
 from repro.core.config import MemorySystemConfig
 from repro.experiments.common import (
     DEFAULT_SETTINGS,
-    ExperimentCell,
     ExperimentSettings,
     fetch_point,
     suite_cpi_instr,
@@ -30,6 +29,7 @@ from repro.plan.ir import PlanCell
 L2_SIZES = tuple(1024 * k for k in (16, 32, 64, 128, 256))
 L2_LINE_SIZES = (16, 32, 64, 128, 256)
 CONFIG_NAMES = ("economy", "high-performance")
+SUITE = "ibs-mach3"
 
 #: Paper reference points (read off the plot): baseline CPIinstr of
 #: each configuration (dotted lines) and the fixed L1 contribution
@@ -116,29 +116,16 @@ def _enumerate_points(
     ]
 
 
-def _cells(
-    settings: ExperimentSettings,
-    l2_sizes: tuple[int, ...],
-    l2_line_sizes: tuple[int, ...],
-    suite: str,
-) -> list[ExperimentCell]:
-    return [
-        ExperimentCell(key=point, fn=_evaluate_point,
-                       args=(*point, suite, settings))
-        for point in _enumerate_points(l2_sizes, l2_line_sizes)
-    ]
-
-
-def cells(settings: ExperimentSettings = DEFAULT_SETTINGS) -> list[ExperimentCell]:
-    """One cell per feasible (configuration, L2 size, L2 line) point."""
-    return _cells(settings, L2_SIZES, L2_LINE_SIZES, "ibs-mach3")
-
-
-def plan_cells(settings: ExperimentSettings = DEFAULT_SETTINGS) -> list[PlanCell]:
-    """The sweep-plan compilation: per-point cells with L1+L2 masks."""
-    traces = plan_inputs.suite_trace_keys("ibs-mach3", settings)
+def plan_cells(
+    settings: ExperimentSettings = DEFAULT_SETTINGS,
+    l2_sizes: tuple[int, ...] = L2_SIZES,
+    l2_line_sizes: tuple[int, ...] = L2_LINE_SIZES,
+) -> list[PlanCell]:
+    """Figure 3's design-space sweep: one cell per feasible
+    (configuration, L2 size, L2 line) point, with its L1+L2 masks."""
+    traces = plan_inputs.suite_trace_keys(SUITE, settings)
     cell_list = []
-    for point in _enumerate_points(L2_SIZES, L2_LINE_SIZES):
+    for point in _enumerate_points(l2_sizes, l2_line_sizes):
         config_name, size, line_size = point
         config = _base_config(config_name).with_l2(
             CacheGeometry(size, line_size, 1)
@@ -147,7 +134,7 @@ def plan_cells(settings: ExperimentSettings = DEFAULT_SETTINGS) -> list[PlanCell
             PlanCell(
                 key=point,
                 fn=_evaluate_point,
-                args=(*point, "ibs-mach3", settings),
+                args=(*point, SUITE, settings),
                 traces=traces,
                 masks=plan_inputs.mask_families(
                     [fetch_point(point, config, "demand")], settings.engine
@@ -157,33 +144,17 @@ def plan_cells(settings: ExperimentSettings = DEFAULT_SETTINGS) -> list[PlanCell
     return cell_list
 
 
-def _merge_points(
-    points: list[tuple[str, int, int]], results: list[tuple[float, float]]
+def merge(
+    settings: ExperimentSettings,
+    results: list[tuple[float, float]],
+    l2_sizes: tuple[int, ...] = L2_SIZES,
+    l2_line_sizes: tuple[int, ...] = L2_LINE_SIZES,
 ) -> Figure3Result:
+    """Reassemble the sweep table from the per-point cells."""
     cells_out: dict[tuple[str, int, int], float] = {}
     l1_contribution = 0.0
+    points = _enumerate_points(l2_sizes, l2_line_sizes)
     for point, (l1, l2) in zip(points, results):
         cells_out[point] = l1 + l2
         l1_contribution = l1  # identical across L2 points
     return Figure3Result(cells=cells_out, l1_contribution=l1_contribution)
-
-
-def merge(
-    settings: ExperimentSettings, results: list[tuple[float, float]]
-) -> Figure3Result:
-    """Reassemble the sweep table from the per-point cells."""
-    return _merge_points(_enumerate_points(L2_SIZES, L2_LINE_SIZES), results)
-
-
-def run(
-    settings: ExperimentSettings = DEFAULT_SETTINGS,
-    l2_sizes: tuple[int, ...] = L2_SIZES,
-    l2_line_sizes: tuple[int, ...] = L2_LINE_SIZES,
-    suite: str = "ibs-mach3",
-) -> Figure3Result:
-    """Reproduce Figure 3's design-space sweep."""
-    points = _enumerate_points(l2_sizes, l2_line_sizes)
-    results = [
-        _evaluate_point(*point, suite, settings) for point in points
-    ]
-    return _merge_points(points, results)

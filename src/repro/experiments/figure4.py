@@ -17,7 +17,6 @@ from repro.caches.base import CacheGeometry
 from repro.core.config import MemorySystemConfig
 from repro.experiments.common import (
     DEFAULT_SETTINGS,
-    ExperimentCell,
     ExperimentSettings,
     fetch_point,
     suite_cpi_instr,
@@ -30,6 +29,7 @@ ASSOCIATIVITIES = (1, 2, 4, 8)
 L2_SIZE = 64 * 1024
 L2_LINE = 64
 CONFIG_NAMES = ("economy", "high-performance")
+SUITE = "ibs-mach3"
 
 
 @dataclass(frozen=True)
@@ -92,33 +92,37 @@ def _evaluate_point(
     return l1 + l2
 
 
-def cells(settings: ExperimentSettings = DEFAULT_SETTINGS) -> list[ExperimentCell]:
-    """One cell per (configuration, associativity) curve point."""
-    return [
-        ExperimentCell(
-            key=("figure4", config_name, ways),
-            fn=_evaluate_point,
-            args=(config_name, ways, "ibs-mach3", False, settings),
-        )
-        for config_name in CONFIG_NAMES
-        for ways in ASSOCIATIVITIES
-    ]
+def plan_cells(
+    settings: ExperimentSettings = DEFAULT_SETTINGS,
+    associative_lookup_penalty: bool = False,
+) -> list[PlanCell]:
+    """Figure 4's associativity sweep: one cell per (configuration,
+    associativity) point, with its L1+L2 masks.
 
-
-def plan_cells(settings: ExperimentSettings = DEFAULT_SETTINGS) -> list[PlanCell]:
-    """The sweep-plan compilation: per-point cells with L1+L2 masks."""
-    traces = plan_inputs.suite_trace_keys("ibs-mach3", settings)
+    ``associative_lookup_penalty`` models the paper's footnote: "The
+    additional delay due to the associative lookup will increase the
+    access time to the L2 cache, possibly increasing the L1-L2 latency
+    by 1 full cycle.  This would increase the L1 contribution to
+    CPIinstr from 0.34 to 0.38."  With it enabled, associative L2
+    points pay a 7-cycle instead of 6-cycle interface latency.
+    """
+    traces = plan_inputs.suite_trace_keys(SUITE, settings)
     return [
         PlanCell(
             key=("figure4", config_name, ways),
             fn=_evaluate_point,
-            args=(config_name, ways, "ibs-mach3", False, settings),
+            args=(
+                config_name, ways, SUITE, associative_lookup_penalty,
+                settings,
+            ),
             traces=traces,
             masks=plan_inputs.mask_families(
                 [
                     fetch_point(
                         (config_name, ways),
-                        _point_config(config_name, ways, False),
+                        _point_config(
+                            config_name, ways, associative_lookup_penalty
+                        ),
                         "demand",
                     )
                 ],
@@ -131,7 +135,7 @@ def plan_cells(settings: ExperimentSettings = DEFAULT_SETTINGS) -> list[PlanCell
 
 
 def merge(
-    settings: ExperimentSettings, results: list[float]
+    settings: ExperimentSettings, results: list[float], **_overrides
 ) -> Figure4Result:
     """Zip per-point totals back into the curve layout."""
     keys = [
@@ -140,27 +144,3 @@ def merge(
         for ways in ASSOCIATIVITIES
     ]
     return Figure4Result(cells=dict(zip(keys, results)))
-
-
-def run(
-    settings: ExperimentSettings = DEFAULT_SETTINGS,
-    suite: str = "ibs-mach3",
-    associative_lookup_penalty: bool = False,
-) -> Figure4Result:
-    """Reproduce Figure 4's associativity sweep.
-
-    ``associative_lookup_penalty`` models the paper's footnote: "The
-    additional delay due to the associative lookup will increase the
-    access time to the L2 cache, possibly increasing the L1-L2 latency
-    by 1 full cycle.  This would increase the L1 contribution to
-    CPIinstr from 0.34 to 0.38."  With it enabled, associative L2
-    points pay a 7-cycle instead of 6-cycle interface latency.
-    """
-    cells_out: dict[tuple[str, int], float] = {}
-    for config_name in CONFIG_NAMES:
-        for ways in ASSOCIATIVITIES:
-            cells_out[(config_name, ways)] = _evaluate_point(
-                config_name, ways, suite, associative_lookup_penalty,
-                settings,
-            )
-    return Figure4Result(cells=cells_out)

@@ -20,7 +20,6 @@ from repro._util.fmt import format_table
 from repro.caches.base import CacheGeometry
 from repro.experiments.common import (
     DEFAULT_SETTINGS,
-    ExperimentCell,
     ExperimentSettings,
 )
 from repro.plan import inputs as plan_inputs
@@ -113,21 +112,13 @@ def _sweep_workload(
     }
 
 
-def cells(settings: ExperimentSettings = DEFAULT_SETTINGS) -> list[ExperimentCell]:
-    """One cell per workload (each covering the whole geometry grid)."""
-    return [
-        ExperimentCell(
-            key=("figure5", name, os_name),
-            fn=_sweep_workload,
-            args=(name, os_name, CACHE_SIZES, ASSOCIATIVITIES, N_TRIALS,
-                  settings),
-        )
-        for name, os_name in WORKLOADS
-    ]
-
-
-def plan_cells(settings: ExperimentSettings = DEFAULT_SETTINGS) -> list[PlanCell]:
-    """The sweep-plan compilation.
+def plan_cells(
+    settings: ExperimentSettings = DEFAULT_SETTINGS,
+    cache_sizes: tuple[int, ...] = CACHE_SIZES,
+    associativities: tuple[int, ...] = ASSOCIATIVITIES,
+    n_trials: int = N_TRIALS,
+) -> list[PlanCell]:
+    """Figure 5's trap-driven variability study: one cell per workload.
 
     Tapeworm trials apply a fresh random page mapping per trial, so the
     translated streams (and their masks) are private to each cell; the
@@ -137,7 +128,7 @@ def plan_cells(settings: ExperimentSettings = DEFAULT_SETTINGS) -> list[PlanCell
         PlanCell(
             key=("figure5", name, os_name),
             fn=_sweep_workload,
-            args=(name, os_name, CACHE_SIZES, ASSOCIATIVITIES, N_TRIALS,
+            args=(name, os_name, cache_sizes, associativities, n_trials,
                   settings),
             traces=plan_inputs.workload_trace_keys(
                 [(name, os_name)], settings
@@ -150,28 +141,10 @@ def plan_cells(settings: ExperimentSettings = DEFAULT_SETTINGS) -> list[PlanCell
 def merge(
     settings: ExperimentSettings,
     results: list[dict[tuple[str, int, int], VariabilityResult]],
+    **_overrides,
 ) -> Figure5Result:
     """Reassemble the study from the per-workload cells."""
     merged: dict[tuple[str, int, int], VariabilityResult] = {}
     for cell_result in results:
         merged.update(cell_result)
     return Figure5Result(cells=merged)
-
-
-def run(
-    settings: ExperimentSettings = DEFAULT_SETTINGS,
-    cache_sizes: tuple[int, ...] = CACHE_SIZES,
-    associativities: tuple[int, ...] = ASSOCIATIVITIES,
-    workloads: tuple[tuple[str, str], ...] = WORKLOADS,
-    n_trials: int = N_TRIALS,
-) -> Figure5Result:
-    """Reproduce Figure 5's trap-driven variability study."""
-    cells_out: dict[tuple[str, int, int], VariabilityResult] = {}
-    for name, os_name in workloads:
-        cells_out.update(
-            _sweep_workload(
-                name, os_name, cache_sizes, associativities, n_trials,
-                settings,
-            )
-        )
-    return Figure5Result(cells=cells_out)

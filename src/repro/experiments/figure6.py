@@ -19,7 +19,6 @@ from repro.caches.base import CacheGeometry
 from repro.core.config import MemorySystemConfig
 from repro.experiments.common import (
     DEFAULT_SETTINGS,
-    ExperimentCell,
     ExperimentSettings,
     fetch_point,
     sweep_fetch_cpi,
@@ -31,6 +30,7 @@ from repro.plan.ir import PlanCell
 BANDWIDTHS = (4, 8, 16, 32, 64)
 LINE_SIZES = (4, 8, 16, 32, 64, 128, 256)
 LATENCY = 6
+SUITE = "ibs-mach3"
 L1_SIZE = 8192
 
 
@@ -116,62 +116,36 @@ def _sweep_line_size(
     return {key: l1 for key, (l1, _l2) in swept.items()}
 
 
-def cells(settings: ExperimentSettings = DEFAULT_SETTINGS) -> list[ExperimentCell]:
-    """One cell per line size (each sharing one miss mask per workload)."""
-    return [
-        ExperimentCell(
-            key=("figure6", line_size),
-            fn=_sweep_line_size,
-            args=(line_size, BANDWIDTHS, "ibs-mach3", settings),
-        )
-        for line_size in LINE_SIZES
-    ]
-
-
-def plan_cells(settings: ExperimentSettings = DEFAULT_SETTINGS) -> list[PlanCell]:
-    """The sweep-plan compilation: cells annotated with shared inputs."""
-    traces = plan_inputs.suite_trace_keys("ibs-mach3", settings)
+def plan_cells(
+    settings: ExperimentSettings = DEFAULT_SETTINGS,
+    bandwidths: tuple[int, ...] = BANDWIDTHS,
+    line_sizes: tuple[int, ...] = LINE_SIZES,
+    suite: str = SUITE,
+) -> list[PlanCell]:
+    """Figure 6's bandwidth x line-size sweep: one cell per line size,
+    each sharing one miss mask per workload across its bandwidths."""
+    traces = plan_inputs.suite_trace_keys(suite, settings)
     return [
         PlanCell(
             key=("figure6", line_size),
             fn=_sweep_line_size,
-            args=(line_size, BANDWIDTHS, "ibs-mach3", settings),
+            args=(line_size, bandwidths, suite, settings),
             traces=traces,
             masks=plan_inputs.mask_families(
-                _line_size_points(line_size, BANDWIDTHS), settings.engine
+                _line_size_points(line_size, bandwidths), settings.engine
             ),
         )
-        for line_size in LINE_SIZES
+        for line_size in line_sizes
     ]
 
 
 def merge(
-    settings: ExperimentSettings, results: list[dict[tuple[int, int], float]]
+    settings: ExperimentSettings,
+    results: list[dict[tuple[int, int], float]],
+    **_overrides,
 ) -> Figure6Result:
     """Reassemble the sweep table from the per-line-size cells."""
     merged: dict[tuple[int, int], float] = {}
     for cell_result in results:
         merged.update(cell_result)
     return Figure6Result(cells=merged)
-
-
-def run(
-    settings: ExperimentSettings = DEFAULT_SETTINGS,
-    bandwidths: tuple[int, ...] = BANDWIDTHS,
-    line_sizes: tuple[int, ...] = LINE_SIZES,
-    suite: str = "ibs-mach3",
-) -> Figure6Result:
-    """Reproduce Figure 6's bandwidth x line-size sweep.
-
-    The whole grid goes through one planner call, so the geometry axis
-    is batched per workload (one trace walk per line size) — the
-    per-line-size :func:`cells` decomposition exists for the pool
-    runner and merges to bit-identical values.
-    """
-    points = [
-        point
-        for line_size in line_sizes
-        for point in _line_size_points(line_size, bandwidths)
-    ]
-    swept = sweep_fetch_cpi(suite, points, settings)
-    return Figure6Result(cells={key: l1 for key, (l1, _l2) in swept.items()})

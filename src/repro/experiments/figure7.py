@@ -21,7 +21,6 @@ from repro.caches.base import CacheGeometry
 from repro.core.config import MemorySystemConfig
 from repro.experiments.common import (
     DEFAULT_SETTINGS,
-    ExperimentCell,
     ExperimentSettings,
     FetchPoint,
     fetch_point,
@@ -41,6 +40,7 @@ STEPS = (
 )
 
 CONFIG_NAMES = ("economy", "high-performance")
+SUITE = "ibs-mach3"
 
 #: The optimized on-chip L2 arrived at in Figures 3-4.
 L2_GEOMETRY = CacheGeometry(64 * 1024, 64, 8)
@@ -128,26 +128,15 @@ def _sweep_config(
     return sweep_fetch_cpi(suite, _step_points(config_name), settings)
 
 
-def cells(settings: ExperimentSettings = DEFAULT_SETTINGS) -> list[ExperimentCell]:
-    """One cell per baseline configuration (six steps each)."""
-    return [
-        ExperimentCell(
-            key=("figure7", config_name),
-            fn=_sweep_config,
-            args=(config_name, "ibs-mach3", settings),
-        )
-        for config_name in CONFIG_NAMES
-    ]
-
-
 def plan_cells(settings: ExperimentSettings = DEFAULT_SETTINGS) -> list[PlanCell]:
-    """The sweep-plan compilation: one annotated cell per ladder."""
-    traces = plan_inputs.suite_trace_keys("ibs-mach3", settings)
+    """Figure 7's cumulative-optimization ladder: one annotated cell per
+    baseline configuration (six steps each)."""
+    traces = plan_inputs.suite_trace_keys(SUITE, settings)
     return [
         PlanCell(
             key=("figure7", config_name),
             fn=_sweep_config,
-            args=(config_name, "ibs-mach3", settings),
+            args=(config_name, SUITE, settings),
             traces=traces,
             streams=plan_inputs.point_streams(_step_points(config_name)),
             masks=plan_inputs.mask_families(
@@ -167,23 +156,3 @@ def merge(
     for cell_result in results:
         merged.update(cell_result)
     return Figure7Result(cells=merged)
-
-
-def run(
-    settings: ExperimentSettings = DEFAULT_SETTINGS,
-    suite: str = "ibs-mach3",
-) -> Figure7Result:
-    """Reproduce Figure 7's cumulative-optimization ladder.
-
-    Both configurations' ladders go through one planner call, so every
-    workload's L1 and L2 miss masks are primed by one batched
-    multi-geometry pass and shared across all twelve steps; the
-    per-configuration :func:`cells` decomposition exists for the pool
-    runner and merges to bit-identical values.
-    """
-    points = [
-        point
-        for config_name in CONFIG_NAMES
-        for point in _step_points(config_name)
-    ]
-    return Figure7Result(cells=sweep_fetch_cpi(suite, points, settings))

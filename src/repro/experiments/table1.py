@@ -17,7 +17,6 @@ from repro._util.fmt import format_table
 from repro.core.cpi import CpiBreakdown
 from repro.experiments.common import (
     DEFAULT_SETTINGS,
-    ExperimentCell,
     ExperimentSettings,
 )
 from repro.monitor.hwcounters import DECSTATION_3100, HardwareMonitor
@@ -88,21 +87,8 @@ def _measure_workload(
     return monitor.measure(trace, settings.warmup_fraction)
 
 
-def cells(settings: ExperimentSettings = DEFAULT_SETTINGS) -> list[ExperimentCell]:
-    """One cell per (suite, workload) measurement."""
-    return [
-        ExperimentCell(
-            key=(suite, name, os_name),
-            fn=_measure_workload,
-            args=(name, os_name, settings),
-        )
-        for suite in PAPER
-        for name, os_name in suite_workloads(suite)
-    ]
-
-
 def plan_cells(settings: ExperimentSettings = DEFAULT_SETTINGS) -> list[PlanCell]:
-    """The sweep-plan compilation.
+    """Table 1 over all four SPEC suites: one cell per workload.
 
     The hardware-monitor model walks the raw trace records itself, so
     the only shared input is each workload's synthesized trace.
@@ -138,8 +124,3 @@ def merge(
             tlb=float(np.mean([b.tlb for b in breakdowns])),
         )
     return Table1Result(rows=rows)
-
-
-def run(settings: ExperimentSettings = DEFAULT_SETTINGS) -> Table1Result:
-    """Reproduce Table 1 over all four SPEC suites."""
-    return merge(settings, [cell.fn(*cell.args) for cell in cells(settings)])

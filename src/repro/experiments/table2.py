@@ -47,12 +47,9 @@ class Table2Result:
         return table + "\n\nOperating systems:\n" + "\n".join(os_lines)
 
 
-def run(settings=None) -> Table2Result:
-    """Reproduce Table 2 from the workload registry.
-
-    ``settings`` is accepted (and ignored) for interface uniformity with
-    the other experiments.
-    """
+def _compute(settings) -> Table2Result:
+    """One cell: reproduce Table 2 from the static workload registry
+    (``settings`` is unused)."""
     workloads = {
         name: {
             "description": workload.description,
@@ -70,4 +67,4 @@ def run(settings=None) -> Table2Result:
 
 def plan_cells(settings=None):
     """The sweep-plan compilation: one registry-only cell, no shared inputs."""
-    return plan_inputs.run_cell("table2", run, settings)
+    return plan_inputs.run_cell("table2", _compute, settings)

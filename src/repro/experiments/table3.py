@@ -81,8 +81,8 @@ class Table3Result:
         )
 
 
-def run(settings: ExperimentSettings = DEFAULT_SETTINGS) -> Table3Result:
-    """Reproduce Table 3 over IBS (both OSes) and SPEC92 int/fp."""
+def _compute(settings: ExperimentSettings) -> Table3Result:
+    """One cell: reproduce Table 3 over IBS (both OSes) and SPEC92 int/fp."""
     monitor = HardwareMonitor(DECSTATION_3100)
     rows: dict[str, Table3Row] = {}
     for suite in PAPER:
@@ -110,4 +110,4 @@ def run(settings: ExperimentSettings = DEFAULT_SETTINGS) -> Table3Result:
 
 def plan_cells(settings: ExperimentSettings = DEFAULT_SETTINGS):
     """The sweep-plan compilation: one cell sharing all four suites' traces."""
-    return plan_inputs.run_cell("table3", run, settings, suites=tuple(PAPER))
+    return plan_inputs.run_cell("table3", _compute, settings, suites=tuple(PAPER))

@@ -21,7 +21,6 @@ from repro.caches.base import CacheGeometry
 from repro.core.metrics import measure_mpi
 from repro.experiments.common import (
     DEFAULT_SETTINGS,
-    ExperimentCell,
     ExperimentSettings,
 )
 from repro.plan import inputs as plan_inputs
@@ -135,22 +134,6 @@ def _measure_mpi_only(
     ).mpi_per_100
 
 
-def cells(settings: ExperimentSettings = DEFAULT_SETTINGS) -> list[ExperimentCell]:
-    """One cell per Mach workload row, plus the comparison-suite cells."""
-    cell_list = [
-        ExperimentCell(key=("mach3", name), fn=_measure_row,
-                       args=(name, settings))
-        for name in IBS_WORKLOADS
-    ]
-    for suite in _AVERAGE_SUITES:
-        cell_list.extend(
-            ExperimentCell(key=(suite, name), fn=_measure_mpi_only,
-                           args=(name, os_name, settings))
-            for name, os_name in suite_workloads(suite)
-        )
-    return cell_list
-
-
 def _reference_mask_family() -> MaskFamily:
     """The reference cache's mask shape (always mask-based)."""
     return MaskFamily(
@@ -161,7 +144,8 @@ def _reference_mask_family() -> MaskFamily:
 
 
 def plan_cells(settings: ExperimentSettings = DEFAULT_SETTINGS) -> list[PlanCell]:
-    """The sweep-plan compilation.
+    """Table 4: one cell per Mach workload row, plus one per workload of
+    each averaged suite.
 
     :func:`~repro.core.metrics.measure_mpi` is mask-based under every
     engine, so each cell shares its workload's trace, the 32-byte line
@@ -213,8 +197,3 @@ def merge(settings: ExperimentSettings, results: list) -> Table4Result:
         averages[suite] = float(np.mean(results[cursor : cursor + count]))
         cursor += count
     return Table4Result(workloads=workloads, averages=averages)
-
-
-def run(settings: ExperimentSettings = DEFAULT_SETTINGS) -> Table4Result:
-    """Reproduce Table 4: per-workload MPI under Mach plus suite means."""
-    return merge(settings, [cell.fn(*cell.args) for cell in cells(settings)])

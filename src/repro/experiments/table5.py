@@ -14,7 +14,6 @@ from repro._util.fmt import format_table
 from repro.core.config import MemorySystemConfig
 from repro.experiments.common import (
     DEFAULT_SETTINGS,
-    ExperimentCell,
     ExperimentSettings,
     fetch_point,
     suite_cpi_instr,
@@ -83,18 +82,9 @@ def _evaluate_cell(
     return l1 + l2
 
 
-def cells(settings: ExperimentSettings = DEFAULT_SETTINGS) -> list[ExperimentCell]:
-    """One cell per (configuration, suite) table entry."""
-    return [
-        ExperimentCell(key=(config_name, suite), fn=_evaluate_cell,
-                       args=(config_name, suite, settings))
-        for config_name in _CONFIG_NAMES
-        for suite in _SUITES
-    ]
-
-
 def plan_cells(settings: ExperimentSettings = DEFAULT_SETTINGS) -> list[PlanCell]:
-    """The sweep-plan compilation: per-entry cells with demand masks."""
+    """Table 5, both baselines on both suites: one cell per table entry,
+    with its demand masks."""
     return [
         PlanCell(
             key=(config_name, suite),
@@ -123,8 +113,3 @@ def merge(settings: ExperimentSettings, results: list[float]) -> Table5Result:
         for suite in _SUITES
     ]
     return Table5Result(cells=dict(zip(keys, results)))
-
-
-def run(settings: ExperimentSettings = DEFAULT_SETTINGS) -> Table5Result:
-    """Reproduce Table 5: both baselines, both suites."""
-    return merge(settings, [cell.fn(*cell.args) for cell in cells(settings)])

@@ -17,7 +17,6 @@ from repro.caches.base import CacheGeometry
 from repro.core.config import MemorySystemConfig
 from repro.experiments.common import (
     DEFAULT_SETTINGS,
-    ExperimentCell,
     ExperimentSettings,
     fetch_point,
     sweep_fetch_cpi,
@@ -39,6 +38,7 @@ PREFETCH_DEPTHS = (0, 1, 2, 3)
 
 #: The L1-L2 interface fixed for Tables 6-8.
 INTERFACE = MemoryTiming(latency=6, bytes_per_cycle=16)
+SUITE = "ibs-mach3"
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,6 @@ class Table6Result:
     """Reproduced Table 6."""
 
     cells: dict[tuple[int, int], float] = field(default_factory=dict)
-    suite: str = "ibs-mach3"
 
     def render(self) -> str:
         headers = ["Prefetch N", *(f"{ls} B line" for ls in LINE_SIZES)]
@@ -99,31 +98,19 @@ def _sweep_line_size(
     return {key: l1 for key, (l1, _l2) in swept.items()}
 
 
-def cells(settings: ExperimentSettings = DEFAULT_SETTINGS) -> list[ExperimentCell]:
-    """One cell per L1 line size."""
-    return [
-        ExperimentCell(
-            key=("table6", line_size),
-            fn=_sweep_line_size,
-            args=(line_size, PREFETCH_DEPTHS, "ibs-mach3", settings),
-        )
-        for line_size in LINE_SIZES
-    ]
-
-
 def plan_cells(settings: ExperimentSettings = DEFAULT_SETTINGS) -> list[PlanCell]:
-    """The sweep-plan compilation.
+    """Table 6 over the IBS suite: one cell per line size.
 
     Prefetch kernels consult install-aware masks (not the plain demand
     mask), so no mask family is declared — the shared inputs are the
     traces and the per-line-size RLE streams the depths all drive.
     """
-    traces = plan_inputs.suite_trace_keys("ibs-mach3", settings)
+    traces = plan_inputs.suite_trace_keys(SUITE, settings)
     return [
         PlanCell(
             key=("table6", line_size),
             fn=_sweep_line_size,
-            args=(line_size, PREFETCH_DEPTHS, "ibs-mach3", settings),
+            args=(line_size, PREFETCH_DEPTHS, SUITE, settings),
             traces=traces,
             streams=plan_inputs.point_streams(
                 _line_size_points(line_size, PREFETCH_DEPTHS)
@@ -140,25 +127,4 @@ def merge(
     merged: dict[tuple[int, int], float] = {}
     for cell_result in results:
         merged.update(cell_result)
-    return Table6Result(cells=merged, suite="ibs-mach3")
-
-
-def run(
-    settings: ExperimentSettings = DEFAULT_SETTINGS,
-    suite: str = "ibs-mach3",
-) -> Table6Result:
-    """Reproduce Table 6 over the IBS suite.
-
-    One planner call covers the whole (line size x depth) grid; the
-    per-line-size :func:`cells` decomposition exists for the pool
-    runner and merges to bit-identical values.
-    """
-    points = [
-        point
-        for line_size in LINE_SIZES
-        for point in _line_size_points(line_size, PREFETCH_DEPTHS)
-    ]
-    swept = sweep_fetch_cpi(suite, points, settings)
-    return Table6Result(
-        cells={key: l1 for key, (l1, _l2) in swept.items()}, suite=suite
-    )
+    return Table6Result(cells=merged)

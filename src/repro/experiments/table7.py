@@ -15,7 +15,6 @@ from repro.caches.base import CacheGeometry
 from repro.core.config import MemorySystemConfig
 from repro.experiments.common import (
     DEFAULT_SETTINGS,
-    ExperimentCell,
     ExperimentSettings,
     suite_cpi_instr,
 )
@@ -23,6 +22,7 @@ from repro.experiments.table6 import (
     INTERFACE,
     LINE_SIZES,
     PREFETCH_DEPTHS,
+    SUITE,
     _line_size_points,
 )
 from repro.experiments.table6 import PAPER as PAPER_NO_BYPASS
@@ -77,12 +77,8 @@ class Table7Result:
 def _sweep_line_size(
     line_size: int, suite: str, settings: ExperimentSettings
 ) -> tuple[dict[tuple[int, int], float], dict[tuple[int, int], float]]:
-    """One cell: both grids' column at one line size.
-
-    Preserves :func:`run`'s evaluation order within the column
-    (prefetch before prefetch+bypass at each depth), so the cell
-    decomposition merges to bit-identical values.
-    """
+    """One cell: both grids' column at one line size (prefetch before
+    prefetch+bypass at each depth)."""
     config = MemorySystemConfig(
         name=f"l1-{line_size}B",
         l1=CacheGeometry(8192, line_size, 1),
@@ -102,31 +98,20 @@ def _sweep_line_size(
     return no_bypass, with_bypass
 
 
-def cells(settings: ExperimentSettings = DEFAULT_SETTINGS) -> list[ExperimentCell]:
-    """One cell per L1 line size (covering both bypass variants)."""
-    return [
-        ExperimentCell(
-            key=("table7", line_size),
-            fn=_sweep_line_size,
-            args=(line_size, "ibs-mach3", settings),
-        )
-        for line_size in LINE_SIZES
-    ]
-
-
 def plan_cells(settings: ExperimentSettings = DEFAULT_SETTINGS) -> list[PlanCell]:
-    """The sweep-plan compilation.
+    """Table 7 over the IBS suite: one cell per line size, covering
+    every prefetch depth with and without bypass.
 
     Both mechanisms consult install-aware masks (not the plain demand
     mask), so the shared inputs are the traces and per-line-size
     streams — the same ones Table 6's columns declare.
     """
-    traces = plan_inputs.suite_trace_keys("ibs-mach3", settings)
+    traces = plan_inputs.suite_trace_keys(SUITE, settings)
     return [
         PlanCell(
             key=("table7", line_size),
             fn=_sweep_line_size,
-            args=(line_size, "ibs-mach3", settings),
+            args=(line_size, SUITE, settings),
             traces=traces,
             streams=plan_inputs.point_streams(
                 _line_size_points(line_size, PREFETCH_DEPTHS)
@@ -144,22 +129,6 @@ def merge(
     no_bypass: dict[tuple[int, int], float] = {}
     with_bypass: dict[tuple[int, int], float] = {}
     for cell_no_bypass, cell_with_bypass in results:
-        no_bypass.update(cell_no_bypass)
-        with_bypass.update(cell_with_bypass)
-    return Table7Result(no_bypass=no_bypass, with_bypass=with_bypass)
-
-
-def run(
-    settings: ExperimentSettings = DEFAULT_SETTINGS,
-    suite: str = "ibs-mach3",
-) -> Table7Result:
-    """Reproduce Table 7: the Table 6 grid with and without bypass."""
-    no_bypass: dict[tuple[int, int], float] = {}
-    with_bypass: dict[tuple[int, int], float] = {}
-    for line_size in LINE_SIZES:
-        cell_no_bypass, cell_with_bypass = _sweep_line_size(
-            line_size, suite, settings
-        )
         no_bypass.update(cell_no_bypass)
         with_bypass.update(cell_with_bypass)
     return Table7Result(no_bypass=no_bypass, with_bypass=with_bypass)

@@ -16,7 +16,6 @@ from repro.caches.base import CacheGeometry
 from repro.core.config import MemorySystemConfig
 from repro.experiments.common import (
     DEFAULT_SETTINGS,
-    ExperimentCell,
     ExperimentSettings,
     fetch_point,
     suite_cpi_instr,
@@ -33,6 +32,7 @@ PAPER = {
 
 BUFFER_SIZES = (0, 1, 3, 6, 12, 18)
 BANDWIDTHS = (16, 32)
+SUITE = "ibs-mach3"
 
 
 @dataclass(frozen=True)
@@ -88,30 +88,18 @@ def _sweep_bandwidth(
     return column
 
 
-def cells(settings: ExperimentSettings = DEFAULT_SETTINGS) -> list[ExperimentCell]:
-    """One cell per interface bandwidth."""
-    return [
-        ExperimentCell(
-            key=("table8", bw),
-            fn=_sweep_bandwidth,
-            args=(bw, "ibs-mach3", settings),
-        )
-        for bw in BANDWIDTHS
-    ]
-
-
 def plan_cells(settings: ExperimentSettings = DEFAULT_SETTINGS) -> list[PlanCell]:
-    """The sweep-plan compilation.
+    """Table 8 over the IBS suite: one cell per bandwidth column.
 
     Stream buffers consult the plain demand mask, so each bandwidth's
     L1 shape joins the batched mask pass alongside its stream.
     """
-    traces = plan_inputs.suite_trace_keys("ibs-mach3", settings)
+    traces = plan_inputs.suite_trace_keys(SUITE, settings)
     return [
         PlanCell(
             key=("table8", bw),
             fn=_sweep_bandwidth,
-            args=(bw, "ibs-mach3", settings),
+            args=(bw, SUITE, settings),
             traces=traces,
             streams=plan_inputs.point_streams(_bandwidth_points(bw)),
             masks=plan_inputs.mask_families(
@@ -131,14 +119,3 @@ def merge(
     for column in results:
         merged.update(column)
     return Table8Result(cells=merged)
-
-
-def run(
-    settings: ExperimentSettings = DEFAULT_SETTINGS,
-    suite: str = "ibs-mach3",
-) -> Table8Result:
-    """Reproduce Table 8 for both interface bandwidths."""
-    cells_out: dict[tuple[int, int], float] = {}
-    for bw in BANDWIDTHS:
-        cells_out.update(_sweep_bandwidth(bw, suite, settings))
-    return Table8Result(cells=cells_out)

@@ -12,10 +12,13 @@ once per plan — cheetah-style ``miss_masks()`` across the union of
 geometries requested by *all* experiments in the plan — then fans the
 deduplicated cells onto the existing :mod:`repro.runner.pool`.
 
-``repro report``, ``repro experiment``, ``repro warm``, and the
-service scheduler's evaluate batches all execute through this package;
-the legacy per-experiment loops (each module's ``run``) remain as the
-bit-identical reference the golden differential tests diff against.
+The plan is each experiment's only specification: a module exports
+``plan_cells`` (plus ``merge`` when it has several cells) and nothing
+else.  ``repro report``, ``repro experiment``, ``repro warm``, the
+service scheduler's evaluate batches, tests, examples and benchmarks
+all execute through this package, and
+:func:`~repro.plan.executor.run_experiment` is the one way to run a
+single experiment.
 """
 
 from repro.plan.ir import (
@@ -36,7 +39,7 @@ from repro.plan.inputs import (
     suite_trace_keys,
     workload_trace_keys,
 )
-from repro.plan.compile import compile_module, compile_report, has_plan
+from repro.plan.compile import compile_module, compile_report
 from repro.plan.executor import (
     add_plan_observer,
     execute_cells,
@@ -59,7 +62,6 @@ __all__ = [
     "compile_report",
     "execute_cells",
     "execute_plan",
-    "has_plan",
     "mask_families",
     "mask_shape_plan",
     "point_streams",

@@ -1,31 +1,27 @@
 """Compiling experiment modules into the sweep-plan IR.
 
-Every experiment module can be compiled; the fidelity degrades
-gracefully:
+Every experiment module is specified once, as a plan:
 
-* ``plan_cells(settings)`` — the module emits annotated
-  :class:`~repro.plan.ir.PlanCell`\\ s (all in-tree experiments);
-* ``cells``/``merge`` only — the legacy pool decomposition is wrapped
-  as unannotated plan cells (schedulable, no input dedup);
-* neither — the whole ``run`` becomes one unannotated cell.
+* ``plan_cells(settings, **overrides)`` emits the annotated
+  :class:`~repro.plan.ir.PlanCell`\\ s that compute the experiment;
+* ``merge(settings, results, **overrides)`` reassembles the per-cell
+  results, which arrive in ``plan_cells`` order, into the experiment's
+  result object.  Single-cell modules define no ``merge``: their one
+  cell's result passes through unchanged.
 
-The merge contract is unchanged from the pool runner: ``plan_cells``
-must enumerate cells in the order ``merge`` expects.
+Keyword overrides (a smaller sweep for a test, another suite for a
+benchmark) reach both functions unchanged, so every way an experiment
+is run executes the same plan.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Mapping
 
 from repro.plan.ir import CompiledExperiment, PlanCell, SweepPlan
-from repro.runner.pool import has_cells
 
-__all__ = ["compile_module", "compile_report", "has_plan"]
-
-
-def has_plan(module) -> bool:
-    """Whether a module emits annotated plan cells natively."""
-    return hasattr(module, "plan_cells")
+__all__ = ["compile_module", "compile_report"]
 
 
 def _module_label(module) -> str:
@@ -33,23 +29,15 @@ def _module_label(module) -> str:
 
 
 def compile_module(
-    module, settings, name: str | None = None
+    module, settings, name: str | None = None, **overrides
 ) -> CompiledExperiment:
     """Lower one experiment module to a :class:`CompiledExperiment`."""
     if name is None:
         name = _module_label(module)
-    if has_plan(module):
-        cells = tuple(module.plan_cells(settings))
-        merge = module.merge if hasattr(module, "merge") else None
-    elif has_cells(module):
-        cells = tuple(
-            PlanCell(key=cell.key, fn=cell.fn, args=cell.args)
-            for cell in module.cells(settings)
-        )
-        merge = module.merge
-    else:
-        cells = (PlanCell(key=(name,), fn=module.run, args=(settings,)),)
-        merge = None
+    cells = module.plan_cells(settings, **overrides)
+    merge = getattr(module, "merge", None)
+    if merge is not None and overrides:
+        merge = functools.partial(merge, **overrides)
     # Namespace cell keys by experiment so a report plan's timing cells
     # stay unambiguous when two experiments use similar keys.
     cells = tuple(

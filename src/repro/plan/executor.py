@@ -176,9 +176,7 @@ def execute_cells(
                 for name, seconds in phases_after.items()
                 if seconds - phases_before.get(name, 0.0) > 0.0
             }
-        results_unique, cell_timings = run_cells(
-            [cell.lowered() for cell in unique], jobs
-        )
+        results_unique, cell_timings = run_cells(unique, jobs)
     finally:
         if needed > previous_entries:
             configure_order_cache(max_entries=previous_entries)
@@ -209,19 +207,19 @@ def execute_plan(
 
 
 def run_experiment(
-    module, settings, jobs: int = 1, label: str | None = None
+    module, settings, jobs: int = 1, label: str | None = None, **overrides
 ):
     """Run one experiment module through its compiled plan.
 
-    Drop-in for the pool runner's entry point of the same name (which
-    now delegates here): returns ``(result, TimingReport)``, with the
-    result bit-identical to ``module.run(settings)``.
+    The one way to run a single experiment: ``overrides`` reach the
+    module's ``plan_cells`` and ``merge`` unchanged.  Returns
+    ``(result, TimingReport)``.
     """
     if label is None:
         label = module.__name__.rsplit(".", 1)[-1]
     start = time.perf_counter()
     with tracing.span("experiment", label=label, jobs=resolve_jobs(jobs)):
-        compiled = compile_module(module, settings, name=label)
+        compiled = compile_module(module, settings, name=label, **overrides)
         plan = SweepPlan(experiments=(compiled,))
         [result], report = execute_plan(plan, jobs, label=label)
     return result, TimingReport(

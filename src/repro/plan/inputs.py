@@ -1,11 +1,11 @@
-"""Shared-input derivation and priming (lifted from ``experiments.common``).
+"""Shared-input derivation and priming for compiled experiments.
 
-:func:`mask_shape_plan` and :func:`prime_miss_masks` started life as
-private helpers of the figure-6/7 sweep planner; they are the plan
-IR's substrate now — every compiled experiment derives its mask-family
-annotations through them, and the executor primes with them.  Thin
-deprecation shims with the old underscore names remain importable from
-:mod:`repro.experiments.common`.
+:func:`mask_shape_plan` and :func:`prime_miss_masks` are the plan IR's
+substrate: every compiled experiment derives its mask-family
+annotations through them, the executor primes with them, and the
+figure-6/7 sweep planner
+(:func:`~repro.experiments.common.sweep_fetch_cpi`) batches its
+geometry axis with them.
 
 This module deliberately avoids importing the experiments layer (which
 imports it): sweep points are duck-typed — anything with ``config``
@@ -147,19 +147,21 @@ def run_cell(
     fn,
     settings,
     *,
+    args: tuple = (),
     suites: Iterable[str] = (),
     workloads: Iterable[tuple[str, str]] = (),
     points: Sequence = (),
     streams: Iterable[int] = (),
     masks: Iterable[MaskFamily] = (),
 ) -> list[PlanCell]:
-    """A single-cell plan for a whole-experiment ``run`` function.
+    """A single-cell plan: ``fn(settings, *args)`` computes the experiment.
 
-    The porting helper for experiments whose internal loop is not (yet)
-    decomposed into cells: the loop still runs inside one cell, but its
-    shared inputs are declared — ``suites``/``workloads`` name the
-    traces, ``points`` derive mask families and stream sizes, and
-    explicit ``streams``/``masks`` cover reads no point describes.
+    For experiments whose loop is not decomposed into cells: the loop
+    runs inside one cell, but its shared inputs are declared —
+    ``suites``/``workloads`` name the traces, ``points`` derive mask
+    families and stream sizes, and explicit ``streams``/``masks`` cover
+    reads no point describes.  ``args`` carries the experiment's
+    keyword overrides, in ``fn``'s positional order.
     """
     pairs = [
         pair for suite in suites for pair in suite_workloads(suite)
@@ -173,7 +175,7 @@ def run_cell(
         PlanCell(
             key=(name,),
             fn=fn,
-            args=(settings,),
+            args=(settings, *args),
             traces=workload_trace_keys(pairs, settings),
             streams=tuple(sorted(set(stream_sizes))),
             masks=families,

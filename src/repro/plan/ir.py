@@ -1,9 +1,9 @@
 """The sweep-plan IR: cells, shared-input annotations, and plans.
 
 A plan is data, not control flow.  Each :class:`PlanCell` names a
-picklable function plus arguments (exactly like
-:class:`~repro.runner.pool.ExperimentCell`, which it lowers to) and
-*declares* the shared inputs it will consume:
+picklable function plus arguments (what
+:func:`~repro.runner.pool.run_cells` executes) and *declares* the
+shared inputs it will consume:
 
 * ``traces`` — the synthesized workload traces it reads;
 * ``streams`` — the RLE line-run encodings (per trace, per line size);
@@ -21,8 +21,6 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-
-from repro.runner.pool import ExperimentCell
 
 __all__ = [
     "CompiledExperiment",
@@ -71,10 +69,10 @@ class MaskFamily:
 class PlanCell:
     """One schedulable unit of a compiled experiment.
 
-    ``key``/``fn``/``args`` mirror
-    :class:`~repro.runner.pool.ExperimentCell`; the remaining fields
-    are the shared-input annotations described in the module
-    docstring.
+    ``key`` labels the cell (timing, failure reports), and
+    ``fn(*args)`` computes it — the only fields the pool runner reads.
+    The remaining fields are the shared-input annotations described in
+    the module docstring.
     """
 
     key: tuple
@@ -98,10 +96,6 @@ class PlanCell:
         except TypeError:
             return None
         return candidate
-
-    def lowered(self) -> ExperimentCell:
-        """The pool-runner cell this plan cell executes as."""
-        return ExperimentCell(key=self.key, fn=self.fn, args=self.args)
 
     @property
     def stream_sizes(self) -> tuple[int, ...]:

@@ -10,6 +10,9 @@ The runner package is the library's sweep engine:
   CLI's ``--jobs N`` flag, with a deterministic merge so parallel runs
   are bit-identical to serial ones.
 
+Experiments run through :mod:`repro.plan.executor`, which compiles
+them to plan cells and executes those on :func:`run_cells`.
+
 Only :mod:`~repro.runner.timing` is imported eagerly: the low-level
 modules (the workload registry, the RLE encoder, the metrics layer)
 mark their phases through it, so it must import nothing from the rest
@@ -25,16 +28,12 @@ __all__ = [
     "TraceDiskCache",
     "phase",
     "run_cells",
-    "run_experiment",
-    "run_report",
     "timing",
 ]
 
 _LAZY = {
     "TraceDiskCache": ("repro.runner.cache", "TraceDiskCache"),
     "run_cells": ("repro.runner.pool", "run_cells"),
-    "run_experiment": ("repro.runner.pool", "run_experiment"),
-    "run_report": ("repro.runner.pool", "run_report"),
 }
 
 

@@ -1,39 +1,39 @@
-"""Process-pool execution of experiment cells with deterministic merge.
+"""Process-pool execution of plan cells with deterministic results.
 
 The paper's results are sweeps — hundreds of (workload x configuration)
 cells — and every cell is independent: synthesize/load a trace, encode
 it, simulate, reduce.  This module fans cells across a
-``ProcessPoolExecutor`` and merges the results *in enumeration order*,
-so a ``--jobs 8`` run produces bit-identical tables to a serial one:
-each cell's arithmetic is unchanged and the merge order is fixed by the
-cell list, not by completion order.
+``ProcessPoolExecutor`` and returns the results *in enumeration
+order*, so a ``--jobs 8`` run produces bit-identical tables to a
+serial one: each cell's arithmetic is unchanged and the merge order is
+fixed by the cell list, not by completion order.
 
-Experiment modules opt in by exposing::
-
-    cells(settings)  -> list[ExperimentCell]   # schedulable units
-    merge(settings, results) -> Result         # results align with cells
-
-Modules without the pair still run under the pool as a single cell
-(``repro report`` additionally schedules whole experiments side by
-side).  Worker processes re-apply the parent's trace-cache
-configuration, so all workers share one on-disk cache and memory-map
-the same trace files instead of each synthesizing private copies.
+The cells are the :class:`~repro.plan.ir.PlanCell`\\ s an experiment's
+``plan_cells`` emits; :mod:`repro.plan.executor` primes their shared
+inputs and hands the deduplicated list to :func:`run_cells`, which
+reads only each cell's ``key``, ``fn`` and ``args``.  Worker processes
+re-apply the parent's trace-cache configuration, so all workers share
+one on-disk cache and memory-map the same trace files instead of each
+synthesizing private copies.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Sequence
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import multiprocessing
 
 from repro.fetch import dispatch
 from repro.obs import tracing
 from repro.runner import timing
-from repro.runner.timing import CellTiming, TimingReport
+from repro.runner.timing import CellTiming
+
+if TYPE_CHECKING:
+    from repro.plan.ir import PlanCell
 
 
 class CellExecutionError(RuntimeError):
@@ -58,26 +58,6 @@ class CellExecutionError(RuntimeError):
 
     def __reduce__(self):
         return (type(self), (self.key, self.message))
-
-
-@dataclass(frozen=True)
-class ExperimentCell:
-    """One independently schedulable unit of an experiment.
-
-    Attributes:
-        key: stable identity, used for merge order and timing reports.
-        fn: a module-level (picklable) function computing the cell.
-        args: positional arguments for ``fn`` (must be picklable).
-    """
-
-    key: tuple
-    fn: Callable
-    args: tuple = field(default_factory=tuple)
-
-
-def has_cells(module) -> bool:
-    """Whether an experiment module exposes the cell API."""
-    return hasattr(module, "cells") and hasattr(module, "merge")
 
 
 def resolve_jobs(jobs: int | None) -> int:
@@ -168,7 +148,7 @@ def _pool_context():
 
 
 def run_cells(
-    cells: Sequence[ExperimentCell], jobs: int = 1
+    cells: Sequence[PlanCell], jobs: int = 1
 ) -> tuple[list, list[CellTiming]]:
     """Execute ``cells`` and return (results, timings) in cell order.
 
@@ -210,74 +190,3 @@ def run_cells(
     results = [result for result, _, _ in outcomes]
     timings = [cell_timing for _, cell_timing, _ in outcomes]
     return results, timings
-
-
-def run_experiment(
-    module, settings, jobs: int = 1, label: str | None = None
-):
-    """Run one experiment module through its compiled sweep plan.
-
-    Delegates to :func:`repro.plan.executor.run_experiment` (imported
-    lazily: the plan layer builds on this module): the module compiles
-    to annotated plan cells, shared inputs are primed once, and the
-    cells fan out over :func:`run_cells`.  Returns
-    ``(result, TimingReport)``; the result is bit-identical to
-    ``module.run(settings)``.
-    """
-    from repro.plan.executor import run_experiment as _run
-
-    return _run(module, settings, jobs=jobs, label=label)
-
-
-def _run_module_cell(name: str, settings) -> str:
-    """Legacy report cell: run one whole experiment, return its rendering.
-
-    No longer on the ``repro report`` path (which compiles one
-    grid-wide plan); kept as the pre-plan comparator that
-    ``benchmarks/bench_report.py`` times the executor against.
-    """
-    from repro.experiments import ALL_EXPERIMENTS, EXTENSION_EXPERIMENTS
-
-    module = {**ALL_EXPERIMENTS, **EXTENSION_EXPERIMENTS}[name]
-    return module.run(settings).render()
-
-
-def run_report_legacy(
-    modules: Mapping[str, object], settings, jobs: int = 1
-) -> tuple[list[tuple[str, str]], TimingReport]:
-    """The pre-plan ``repro report`` engine: one cell per experiment.
-
-    Parallelism at experiment granularity, each worker re-deriving its
-    own traces/streams/masks.  Retained as the benchmark baseline and
-    golden reference; production runs go through
-    :func:`repro.plan.executor.run_report`.
-    """
-    start = time.perf_counter()
-    cell_list = [
-        ExperimentCell(key=(name,), fn=_run_module_cell, args=(name, settings))
-        for name in modules
-    ]
-    results, timings = run_cells(cell_list, jobs)
-    wall = time.perf_counter() - start
-    report = TimingReport(
-        label="report", jobs=resolve_jobs(jobs), wall_seconds=wall,
-        cells=tuple(timings),
-    )
-    return list(zip(modules, results)), report
-
-
-def run_report(
-    modules: Mapping[str, object], settings, jobs: int = 1
-) -> tuple[list[tuple[str, str]], TimingReport]:
-    """Run many experiments as one compiled plan (``repro report``).
-
-    Delegates to :func:`repro.plan.executor.run_report`: all modules
-    compile into a single sweep plan whose shared inputs are primed
-    once across experiments (one trace walk per workload stream for
-    the whole report) before the deduplicated cells fan out.  Returns
-    ``[(name, rendering), ...]`` in module order plus the timing
-    report carrying the plan-dedup stats block.
-    """
-    from repro.plan.executor import run_report as _run
-
-    return _run(modules, settings, jobs=jobs)

@@ -46,10 +46,9 @@ from repro.obs import tracing
 from repro.obs.logs import log_event
 from repro.obs.manifest import build_manifest, write_manifest
 from repro.plan import inputs as plan_inputs
-from repro.plan.executor import execute_cells
+from repro.plan.executor import execute_cells, run_experiment
 from repro.plan.ir import PlanCell
 from repro.runner import timing
-from repro.runner.pool import run_experiment
 from repro.workloads import registry
 
 #: Job lifecycle states.

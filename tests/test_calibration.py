@@ -19,6 +19,7 @@ from repro.caches.base import CacheGeometry
 from repro.core.metrics import measure_mpi
 from repro.experiments import figure1
 from repro.experiments.common import ExperimentSettings
+from repro.plan.executor import run_experiment
 from repro.trace.rle import to_line_runs
 from repro.workloads.generator import synthesize_trace
 from repro.workloads.ibs import IBS_WORKLOADS
@@ -104,7 +105,7 @@ def test_figure1_curve_keeps_shape():
     trace length the compulsory floor pushes the crossing to the large
     end, so only the lower edge is pinned)."""
     settings = ExperimentSettings(n_instructions=100_000, seed=1)
-    result = figure1.run(settings)
+    result = run_experiment(figure1, settings)[0]
     totals = {
         suite: [curve[size].total for size in figure1.CACHE_SIZES]
         for suite, curve in result.curves.items()

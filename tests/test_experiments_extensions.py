@@ -11,26 +11,27 @@ from repro.experiments import (
     table2,
 )
 from repro.experiments.common import ExperimentSettings
+from repro.plan.executor import run_experiment
 
 SETTINGS = ExperimentSettings(n_instructions=100_000, seed=0)
 
 
 class TestTable2:
     def test_all_workloads_listed(self):
-        result = table2.run()
+        result = run_experiment(table2, SETTINGS)[0]
         assert len(result.workloads) == 8
         text = result.render()
         assert "groff" in text and "Mach 3.0" in text
 
     def test_mach_has_more_layers(self):
-        result = table2.run()
+        result = run_experiment(table2, SETTINGS)[0]
         assert result.os_layers["Mach 3.0"] > result.os_layers["Ultrix 3.1"]
 
 
 class TestExtPrefetch:
     @pytest.fixture(scope="class")
     def result(self):
-        return ext_prefetch.run(SETTINGS)
+        return run_experiment(ext_prefetch, SETTINGS)[0]
 
     def test_every_scheme_beats_demand(self, result):
         demand = result.mean("demand")
@@ -53,7 +54,7 @@ class TestExtPrefetch:
 class TestExtConflict:
     @pytest.fixture(scope="class")
     def result(self):
-        return ext_conflict.run(SETTINGS, sizes=(8192, 32768))
+        return run_experiment(ext_conflict, SETTINGS, sizes=(8192, 32768))[0]
 
     def test_associativity_is_the_strongest_remedy(self, result):
         for size in (8192, 32768):
@@ -83,9 +84,10 @@ class TestExtConflict:
 class TestExtPlacement:
     @pytest.fixture(scope="class")
     def result(self):
-        return ext_placement.run(
-            SETTINGS, workload_names=("groff", "nroff", "gs", "mpeg_play")
-        )
+        return run_experiment(
+            ext_placement, SETTINGS,
+            workload_names=("groff", "nroff", "gs", "mpeg_play"),
+        )[0]
 
     def test_placement_helps_isolated_user_tasks(self, result):
         # The placement literature's setting: single task, own cache.
@@ -104,7 +106,7 @@ class TestExtPlacement:
 class TestExtSubblock:
     @pytest.fixture(scope="class")
     def result(self):
-        return ext_subblock.run(SETTINGS)
+        return run_experiment(ext_subblock, SETTINGS)[0]
 
     def test_all_three_configurations_close(self, result):
         """The paper's footnote: the three designs land in the same
@@ -119,7 +121,7 @@ class TestExtSubblock:
 class TestExtMultiIssue:
     @pytest.fixture(scope="class")
     def result(self):
-        return ext_multiissue.run(SETTINGS)
+        return run_experiment(ext_multiissue, SETTINGS)[0]
 
     def test_ibs_floor_dominates_wide_issue(self, result):
         assert result.stall_share("ibs-mach3", 4) > 0.30
@@ -140,7 +142,7 @@ class TestExtContext:
     def result(self):
         from repro.experiments import ext_context
 
-        return ext_context.run(SETTINGS)
+        return run_experiment(ext_context, SETTINGS)[0]
 
     def test_sharing_always_costs(self, result):
         from repro.experiments.ext_context import QUANTA, SIZES
@@ -164,9 +166,10 @@ class TestExtComponents:
     def result(self):
         from repro.experiments import ext_components
 
-        return ext_components.run(
-            SETTINGS, workload_names=("groff", "mpeg_play", "gs")
-        )
+        return run_experiment(
+            ext_components, SETTINGS,
+            workload_names=("groff", "mpeg_play", "gs"),
+        )[0]
 
     def test_shares_sum_to_one(self, result):
         for workload, shares in result.rows.items():
@@ -202,9 +205,9 @@ class TestExtSensitivity:
     def result(self):
         from repro.experiments import ext_sensitivity
 
-        return ext_sensitivity.run(
-            ExperimentSettings(n_instructions=80_000, seed=0)
-        )
+        return run_experiment(
+            ext_sensitivity, ExperimentSettings(n_instructions=80_000, seed=0)
+        )[0]
 
     def test_expected_directions(self, result):
         from repro.experiments.ext_sensitivity import KNOBS
@@ -225,8 +228,10 @@ class TestFigure4LookupPenaltyAblation:
     def test_penalty_raises_cpi_but_keeps_ordering(self):
         from repro.experiments import figure4
 
-        plain = figure4.run(SETTINGS)
-        penalized = figure4.run(SETTINGS, associative_lookup_penalty=True)
+        plain = run_experiment(figure4, SETTINGS)[0]
+        penalized = run_experiment(
+            figure4, SETTINGS, associative_lookup_penalty=True
+        )[0]
         # Associative points pay more with the penalty; DM unchanged.
         for config in figure4.CONFIG_NAMES:
             assert penalized.cells[(config, 1)] == pytest.approx(
@@ -243,7 +248,7 @@ class TestExtMethodology:
     def result(self):
         from repro.experiments import ext_methodology
 
-        return ext_methodology.run(SETTINGS)
+        return run_experiment(ext_methodology, SETTINGS)[0]
 
     def test_additive_method_is_accurate(self, result):
         """The paper's independent-measurement method agrees with one
@@ -265,7 +270,7 @@ class TestExtBranch:
     def result(self):
         from repro.experiments import ext_branch
 
-        return ext_branch.run(SETTINGS)
+        return run_experiment(ext_branch, SETTINGS)[0]
 
     def test_ibs_redirects_cost_more_than_spec(self, result):
         from repro.experiments.ext_branch import BTB_SIZES
@@ -300,10 +305,10 @@ class TestExtArea:
     def result(self):
         from repro.experiments import ext_area
 
-        return ext_area.run(
-            ExperimentSettings(n_instructions=80_000, seed=0),
+        return run_experiment(
+            ext_area, ExperimentSettings(n_instructions=80_000, seed=0),
             budgets=ext_area.BUDGETS_RBE[:2],
-        )
+        )[0]
 
     def test_ibs_best_always_includes_associative_l2(self, result):
         from repro.experiments import ext_area
@@ -338,7 +343,9 @@ class TestExtTlb:
     def result(self):
         from repro.experiments import ext_tlb
 
-        return ext_tlb.run(SETTINGS, workload_names=("gs", "sdet", "nroff"))
+        return run_experiment(
+            ext_tlb, SETTINGS, workload_names=("gs", "sdet", "nroff")
+        )[0]
 
     def test_mach_tlb_costs_more(self, result):
         for name in ("gs", "sdet", "nroff"):
@@ -368,10 +375,10 @@ class TestExtSampling:
     def result(self):
         from repro.experiments import ext_sampling
 
-        return ext_sampling.run(
-            ExperimentSettings(n_instructions=200_000, seed=0),
+        return run_experiment(
+            ext_sampling, ExperimentSettings(n_instructions=200_000, seed=0),
             fractions=(0.1, 0.5),
-        )
+        )[0]
 
     def test_errors_bounded(self, result):
         for (_suite, _fraction), (error, _speedup) in result.cells.items():
@@ -397,10 +404,10 @@ class TestExtBloat:
     def result(self):
         from repro.experiments import ext_bloat
 
-        return ext_bloat.run(
-            ExperimentSettings(n_instructions=100_000, seed=0),
+        return run_experiment(
+            ext_bloat, ExperimentSettings(n_instructions=100_000, seed=0),
             stages=(("1x", 1.0, 1.0), ("1.5x", 1.5, 0.8), ("3x", 3.0, 0.6)),
-        )
+        )[0]
 
     def test_mpi_monotone_in_bloat(self, result):
         series = result.mpi_series()

@@ -12,6 +12,7 @@ from repro.experiments import (
     figure7,
 )
 from repro.experiments.common import ExperimentSettings
+from repro.plan.executor import run_experiment
 
 SETTINGS = ExperimentSettings(n_instructions=150_000, seed=0)
 
@@ -19,7 +20,9 @@ SETTINGS = ExperimentSettings(n_instructions=150_000, seed=0)
 class TestFigure1:
     @pytest.fixture(scope="class")
     def result(self):
-        return figure1.run(SETTINGS, cache_sizes=(8192, 32768, 65536, 262144))
+        return run_experiment(
+            figure1, SETTINGS, cache_sizes=(8192, 32768, 65536, 262144)
+        )[0]
 
     def test_ibs_needs_8x_the_cache(self, result):
         """The paper's headline: IBS at 64 KB ~= SPEC at 8 KB."""
@@ -50,7 +53,9 @@ class TestFigure1:
 class TestFigure2:
     @pytest.fixture(scope="class")
     def result(self):
-        return figure2.run(ExperimentSettings(n_instructions=40_000, seed=0))
+        return run_experiment(
+            figure2, ExperimentSettings(n_instructions=40_000, seed=0)
+        )[0]
 
     def test_mach_runs_more_components(self, result):
         assert (
@@ -68,11 +73,11 @@ class TestFigure2:
 class TestFigure3:
     @pytest.fixture(scope="class")
     def result(self):
-        return figure3.run(
-            SETTINGS,
+        return run_experiment(
+            figure3, SETTINGS,
             l2_sizes=(16 * 1024, 64 * 1024),
             l2_line_sizes=(32, 64, 128),
-        )
+        )[0]
 
     def test_l2_improves_economy_baseline(self, result):
         # Paper: "even the smallest L2 cache improves performance over
@@ -104,7 +109,7 @@ class TestFigure3:
 class TestFigure4:
     @pytest.fixture(scope="class")
     def result(self):
-        return figure4.run(SETTINGS)
+        return run_experiment(figure4, SETTINGS)[0]
 
     def test_associativity_monotone(self, result):
         for name in figure4.CONFIG_NAMES:
@@ -132,12 +137,12 @@ class TestFigure4:
 class TestFigure5:
     @pytest.fixture(scope="class")
     def result(self):
-        return figure5.run(
-            SETTINGS,
+        return run_experiment(
+            figure5, SETTINGS,
             cache_sizes=(16 * 1024, 64 * 1024),
             associativities=(1, 2),
             n_trials=4,
-        )
+        )[0]
 
     def test_ibs_more_variable_than_spec(self, result):
         verilog = result.peak_std("verilog")
@@ -157,9 +162,10 @@ class TestFigure5:
 class TestFigure6:
     @pytest.fixture(scope="class")
     def result(self):
-        return figure6.run(
-            SETTINGS, bandwidths=(4, 16, 64), line_sizes=(8, 16, 32, 64, 128)
-        )
+        return run_experiment(
+            figure6, SETTINGS,
+            bandwidths=(4, 16, 64), line_sizes=(8, 16, 32, 64, 128),
+        )[0]
 
     def test_bandwidth_always_helps(self, result):
         for line in result.line_sizes:
@@ -181,7 +187,7 @@ class TestFigure6:
 class TestFigure7:
     @pytest.fixture(scope="class")
     def result(self):
-        return figure7.run(SETTINGS)
+        return run_experiment(figure7, SETTINGS)[0]
 
     def test_each_step_improves(self, result):
         for name in figure7.CONFIG_NAMES:

@@ -9,24 +9,29 @@ import pytest
 
 from repro.experiments import table1, table3, table4, table5, table6, table7, table8
 from repro.experiments.common import ExperimentSettings
+from repro.plan.executor import run_experiment
 
 SETTINGS = ExperimentSettings(n_instructions=150_000, seed=0)
 
 
 @pytest.fixture(scope="module")
 def t5():
-    return table5.run(SETTINGS)
+    return run_experiment(table5, SETTINGS)[0]
 
 
 class TestTable1:
     def test_rows_and_rendering(self):
-        result = table1.run(ExperimentSettings(n_instructions=60_000, seed=0))
+        result = run_experiment(
+            table1, ExperimentSettings(n_instructions=60_000, seed=0)
+        )[0]
         assert set(result.rows) == set(table1.PAPER)
         text = result.render()
         assert "SPECint92" in text and "I-cache" in text
 
     def test_fp_pays_more_for_data(self):
-        result = table1.run(ExperimentSettings(n_instructions=60_000, seed=0))
+        result = run_experiment(
+            table1, ExperimentSettings(n_instructions=60_000, seed=0)
+        )[0]
         assert (
             result.rows["specfp92"].data > result.rows["specint92"].data
         )
@@ -34,14 +39,18 @@ class TestTable1:
 
 class TestTable3:
     def test_ibs_vs_spec_icache_gap(self):
-        result = table3.run(ExperimentSettings(n_instructions=60_000, seed=0))
+        result = run_experiment(
+            table3, ExperimentSettings(n_instructions=60_000, seed=0)
+        )[0]
         ibs = result.rows["ibs-mach3"]
         spec = result.rows["specint92"]
         assert ibs.cpi_instr > 2 * spec.cpi_instr
         assert ibs.os_fraction > spec.os_fraction
 
     def test_mach_more_os_time_than_ultrix(self):
-        result = table3.run(ExperimentSettings(n_instructions=60_000, seed=0))
+        result = run_experiment(
+            table3, ExperimentSettings(n_instructions=60_000, seed=0)
+        )[0]
         assert (
             result.rows["ibs-mach3"].os_fraction
             > result.rows["ibs-ultrix"].os_fraction
@@ -51,13 +60,13 @@ class TestTable3:
 
 class TestTable4:
     def test_mpi_matches_paper_within_tolerance(self):
-        result = table4.run(SETTINGS)
+        result = run_experiment(table4, SETTINGS)[0]
         for name, row in result.workloads.items():
             paper_mpi = table4.PAPER_WORKLOADS[name][0]
             assert row.mpi_per_100 == pytest.approx(paper_mpi, rel=0.25), name
 
     def test_suite_ordering(self):
-        result = table4.run(SETTINGS)
+        result = run_experiment(table4, SETTINGS)[0]
         assert (
             result.averages["ibs-mach3"]
             > result.averages["ibs-ultrix"]
@@ -67,7 +76,7 @@ class TestTable4:
     def test_groff_exceeds_nroff(self):
         """The paper's C++-cost observation: groff's MPI is ~60% above
         nroff's on the same input."""
-        result = table4.run(SETTINGS)
+        result = run_experiment(table4, SETTINGS)[0]
         ratio = (
             result.workloads["groff"].mpi_per_100
             / result.workloads["nroff"].mpi_per_100
@@ -75,7 +84,7 @@ class TestTable4:
         assert 1.3 < ratio < 2.1
 
     def test_render_includes_all_workloads(self):
-        text = table4.run(SETTINGS).render()
+        text = run_experiment(table4, SETTINGS)[0].render()
         for name in table4.PAPER_WORKLOADS:
             assert name in text
 
@@ -101,7 +110,7 @@ class TestTable5:
 class TestTable6:
     @pytest.fixture(scope="class")
     def result(self):
-        return table6.run(SETTINGS)
+        return run_experiment(table6, SETTINGS)[0]
 
     def test_prefetch_helps_small_lines(self, result):
         assert result.cells[(16, 1)] < result.cells[(16, 0)]
@@ -121,7 +130,7 @@ class TestTable6:
 class TestTable7:
     @pytest.fixture(scope="class")
     def result(self):
-        return table7.run(SETTINGS)
+        return run_experiment(table7, SETTINGS)[0]
 
     def test_bypass_never_hurts(self, result):
         for key in result.no_bypass:
@@ -137,7 +146,7 @@ class TestTable7:
 class TestTable8:
     @pytest.fixture(scope="class")
     def result(self):
-        return table8.run(SETTINGS)
+        return run_experiment(table8, SETTINGS)[0]
 
     def test_stream_buffer_saturates(self, result):
         for bw in table8.BANDWIDTHS:

@@ -18,7 +18,8 @@ from repro.caches.base import CacheGeometry
 from repro.core.config import MemorySystemConfig
 from repro.core.study import fetch_result
 from repro.fetch import ECONOMY_MEMORY, dispatch
-from repro.runner.pool import ExperimentCell, run_cells
+from repro.plan.ir import PlanCell
+from repro.runner.pool import run_cells
 from repro.runner.timing import CellTiming, TimingReport
 
 
@@ -157,11 +158,11 @@ def _dispatching_cell(mechanism: str, engine: str) -> int:
 class TestReportPlumbing:
     def test_run_cells_captures_dispatch(self):
         cells = [
-            ExperimentCell(
+            PlanCell(
                 key=("a",), fn=_dispatching_cell,
                 args=("demand", dispatch.ENGINE_VECTORIZED),
             ),
-            ExperimentCell(
+            PlanCell(
                 key=("b",), fn=_dispatching_cell,
                 args=("victim", dispatch.ENGINE_REFERENCE),
             ),

@@ -35,6 +35,7 @@ from repro.fetch import (
     supports,
     unsupported_reason,
 )
+from repro.plan.executor import run_experiment
 from repro.trace.rle import LineRuns, to_line_runs
 
 TIMINGS = (
@@ -360,18 +361,18 @@ class TestRendersBitIdentical:
 
     def test_figure6(self):
         renders = {
-            engine: figure6.run(
-                self._settings(engine),
+            engine: run_experiment(
+                figure6, self._settings(engine),
                 bandwidths=(4, 16),
                 line_sizes=(16, 32),
-            ).render()
+            )[0].render()
             for engine in ("reference", "vectorized")
         }
         assert renders["reference"] == renders["vectorized"]
 
     def test_table6(self):
         renders = {
-            engine: table6.run(self._settings(engine)).render()
+            engine: run_experiment(table6, self._settings(engine))[0].render()
             for engine in ("reference", "vectorized")
         }
         assert renders["reference"] == renders["vectorized"]
@@ -380,7 +381,7 @@ class TestRendersBitIdentical:
         # Exercises demand, prefetch, bypass and stream-buffer kernels
         # in one ladder (plus the engine-independent L2 leg).
         renders = {
-            engine: figure7.run(self._settings(engine)).render()
+            engine: run_experiment(figure7, self._settings(engine))[0].render()
             for engine in ("reference", "auto")
         }
         assert renders["reference"] == renders["auto"]

@@ -22,12 +22,13 @@ import pytest
 from repro.experiments import (
     ALL_EXPERIMENTS,
     EXTENSION_EXPERIMENTS,
+    figure1,
     table4,
     table5,
 )
 from repro.experiments.common import ExperimentSettings, fetch_point
 from repro.plan import inputs as plan_inputs
-from repro.plan.compile import compile_module, compile_report, has_plan
+from repro.plan.compile import compile_module, compile_report
 from repro.plan.executor import (
     add_plan_observer,
     execute_cells,
@@ -43,7 +44,10 @@ from repro.plan.ir import (
     dedup_cells,
 )
 from repro.runner.timing import TimingReport
-from repro.workloads.registry import set_trace_cache_backend
+from repro.workloads.registry import (
+    clear_trace_cache,
+    set_trace_cache_backend,
+)
 
 SETTINGS = ExperimentSettings(n_instructions=20_000, seed=3)
 
@@ -92,22 +96,48 @@ class TestCompile:
         assert any(cell.traces for cell in compiled.cells)
         assert any(cell.masks for cell in compiled.cells)
 
-    def test_fallback_module_without_cells(self):
+    def test_module_without_plan_cells_is_rejected(self):
         module = types.ModuleType("fake_experiment")
         module.run = _double
-        compiled = compile_module(module, SETTINGS, name="fake")
-        assert len(compiled.cells) == 1
-        cell = compiled.cells[0]
-        assert cell.key == ("fake",)
-        assert cell.fn is module.run
-        assert cell.args == (SETTINGS,)
-        assert compiled.merge is None
+        with pytest.raises(AttributeError, match="plan_cells"):
+            compile_module(module, SETTINGS, name="fake")
 
     def test_every_shipped_experiment_has_a_plan(self):
-        from repro import experiments
+        # One representation: the plan is each experiment's only entry
+        # point.
+        for name, module in ALL_MODULES.items():
+            assert callable(module.plan_cells), name
+            for legacy in ("run", "cells"):
+                assert not hasattr(module, legacy), (name, legacy)
 
-        for name, module in experiments.ALL_EXPERIMENTS.items():
-            assert has_plan(module), name
+    def test_overrides_reach_plan_cells_and_merge(self):
+        sizes = (8192, 65536)
+        result, report = run_experiment(
+            figure1, SETTINGS, jobs=1, cache_sizes=sizes
+        )
+        assert len(report.cells) == len(figure1.SUITES) * len(sizes)
+        assert list(result.curves) == list(figure1.SUITES)
+        for curve in result.curves.values():
+            assert tuple(curve) == sizes
+        rows = [
+            tuple(field.strip() for field in line.split("|")[:2])
+            for line in result.render().splitlines()
+            if line.split("|")[0].strip() in figure1.SUITES
+        ]
+        assert rows == [
+            (suite, size)
+            for suite in figure1.SUITES
+            for size in ("8KB", "64KB")
+        ]
+
+    def test_single_cell_module_has_no_merge(self):
+        compiled = compile_module(
+            EXTENSION_EXPERIMENTS["ext_conflict"], SETTINGS, sizes=(8192,)
+        )
+        assert compiled.merge is None
+        [cell] = compiled.cells
+        assert cell.key == ("ext_conflict",)
+        assert cell.args == (SETTINGS, (8192,))
 
     def test_compile_report_concatenates(self):
         plan = compile_report(
@@ -202,6 +232,7 @@ class TestExecuteCells:
         assert len(report.cells) == 2  # timing is per unique cell
 
     def test_primes_every_declared_input(self):
+        clear_trace_cache()  # earlier tests may have synthesized groff
         cells = [
             PlanCell(
                 key=("p", i), fn=_double, args=(i,),

@@ -7,17 +7,11 @@ so ``--jobs N`` is purely a wall-clock knob.
 
 import pytest
 
-from repro.experiments import figure1, table1, table4, table5
+from repro.experiments import figure1, table1, table2, table4, table5
 from repro.experiments.common import ExperimentSettings
-from repro.runner.pool import (
-    CellExecutionError,
-    ExperimentCell,
-    has_cells,
-    resolve_jobs,
-    run_cells,
-    run_experiment,
-    run_report,
-)
+from repro.plan.executor import run_experiment, run_report
+from repro.plan.ir import PlanCell
+from repro.runner.pool import CellExecutionError, resolve_jobs, run_cells
 from repro.workloads.registry import clear_trace_cache, set_trace_cache_backend
 
 SETTINGS = ExperimentSettings(n_instructions=20_000, seed=3)
@@ -44,7 +38,7 @@ def _boom(x):
 class TestRunCells:
     def _cells(self, n=5):
         return [
-            ExperimentCell(key=("cell", i), fn=_double, args=(i,))
+            PlanCell(key=("cell", i), fn=_double, args=(i,))
             for i in range(n)
         ]
 
@@ -75,8 +69,8 @@ class TestCellFailures:
 
     def _mixed_cells(self):
         return [
-            ExperimentCell(key=("ok", 0), fn=_double, args=(1,)),
-            ExperimentCell(key=("groff", "mach3", "8KB"), fn=_boom, args=(7,)),
+            PlanCell(key=("ok", 0), fn=_double, args=(1,)),
+            PlanCell(key=("groff", "mach3", "8KB"), fn=_boom, args=(7,)),
         ]
 
     def test_serial_failure_names_cell(self):
@@ -108,7 +102,7 @@ class TestCellFailures:
         def reraise():
             raise CellExecutionError(("inner",), "RuntimeError: x")
 
-        cell = ExperimentCell(key=("outer",), fn=reraise)
+        cell = PlanCell(key=("outer",), fn=reraise)
         with pytest.raises(CellExecutionError) as excinfo:
             run_cells([cell], jobs=1)
         assert excinfo.value.key == ("inner",)
@@ -117,18 +111,21 @@ class TestCellFailures:
 class TestCellApi:
     @pytest.mark.parametrize("module", [table1, table4, table5, figure1])
     def test_modules_expose_cells(self, module):
-        assert has_cells(module)
-        cell_list = module.cells(SETTINGS)
+        cell_list = module.plan_cells(SETTINGS)
         assert len(cell_list) >= 2
         assert len({cell.key for cell in cell_list}) == len(cell_list)
+        assert callable(module.merge)
 
     def test_run_matches_cells_plus_merge(self):
-        direct = table5.run(SETTINGS)
-        cell_list = table5.cells(SETTINGS)
+        # Priming and dedup only warm memos: calling the plan's cells
+        # by hand, cold, and merging gives the executor's bytes.
+        clear_trace_cache()
+        cell_list = table5.plan_cells(SETTINGS)
         rebuilt = table5.merge(
             SETTINGS, [cell.fn(*cell.args) for cell in cell_list]
         )
-        assert direct.render() == rebuilt.render()
+        result, _ = run_experiment(table5, SETTINGS, jobs=1)
+        assert result.render() == rebuilt.render()
 
 
 class TestParallelEqualsSerial:
@@ -136,18 +133,16 @@ class TestParallelEqualsSerial:
 
     @pytest.mark.parametrize("module", [table5, table4])
     def test_experiment_bit_identical(self, module):
-        serial = module.run(SETTINGS)
+        serial, _ = run_experiment(module, SETTINGS, jobs=1)
         clear_trace_cache()  # force the parallel run to start cold
         result, report = run_experiment(module, SETTINGS, jobs=4)
         assert result.render() == serial.render()
         assert report.jobs >= 1
-        assert len(report.cells) == len(module.cells(SETTINGS))
+        assert len(report.cells) == len(module.plan_cells(SETTINGS))
 
-    def test_fallback_module_without_cells(self):
-        from repro.experiments import table2
-
-        assert not has_cells(table2)
-        serial = table2.run(SETTINGS)
+    def test_single_cell_module(self):
+        assert not hasattr(table2, "merge")
+        serial, _ = run_experiment(table2, SETTINGS, jobs=1)
         result, report = run_experiment(table2, SETTINGS, jobs=4)
         assert result.render() == serial.render()
         assert len(report.cells) == 1
@@ -158,8 +153,9 @@ class TestRunReport:
         modules = {"table5": table5, "table4": table4}
         renderings, report = run_report(modules, SETTINGS, jobs=2)
         assert [name for name, _ in renderings] == ["table5", "table4"]
-        assert renderings[0][1] == table5.run(SETTINGS).render()
-        assert renderings[1][1] == table4.run(SETTINGS).render()
+        for (_, text), module in zip(renderings, modules.values()):
+            alone, _ = run_experiment(module, SETTINGS, jobs=1)
+            assert text == alone.render()
         assert report.label == "report"
         # Timing granularity is the plan cell, namespaced by experiment.
         expected = len(table5.plan_cells(SETTINGS)) + len(

@@ -41,8 +41,8 @@ from repro.experiments.common import ExperimentSettings
 from repro.obs import tracing
 from repro.obs.export import to_chrome_trace
 from repro.obs.manifest import build_manifest, write_manifest
+from repro.plan.executor import run_experiment
 from repro.runner.cache import TraceDiskCache
-from repro.runner.pool import run_experiment
 from repro.workloads.registry import clear_trace_cache, set_trace_cache_backend
 
 #: Reduced Figure 6 grid for the engine comparison (9 of 35 points).
@@ -58,11 +58,11 @@ def bench_fetch(n_instructions: int, seed: int = 0) -> dict:
             n_instructions=n_instructions, seed=seed, engine=engine
         )
         start = time.perf_counter()
-        result = figure6.run(
-            settings,
+        result = run_experiment(
+            figure6, settings,
             bandwidths=FETCH_BANDWIDTHS,
             line_sizes=FETCH_LINE_SIZES,
-        )
+        )[0]
         return result, time.perf_counter() - start
 
     reference, reference_seconds = timed("reference")

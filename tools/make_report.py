@@ -4,16 +4,18 @@ Run from the repository root:
 
     python tools/make_report.py [--instructions N] [--out report.txt]
 
-This is what EXPERIMENTS.md's measured numbers come from.
+This is what EXPERIMENTS.md's measured numbers come from.  The report
+executes as one compiled sweep plan (the same path as ``repro report``),
+so every table and figure shares one set of primed traces.
 """
 
 from __future__ import annotations
 
 import argparse
-import time
 
 from repro.experiments import ALL_EXPERIMENTS
 from repro.experiments.common import ExperimentSettings
+from repro.plan.executor import run_report
 
 
 def main() -> None:
@@ -23,15 +25,15 @@ def main() -> None:
     args = parser.parse_args()
 
     settings = ExperimentSettings(n_instructions=args.instructions, seed=0)
-    sections = []
-    for name, module in ALL_EXPERIMENTS.items():
-        start = time.time()
-        result = module.run(settings)
-        elapsed = time.time() - start
-        sections.append(result.render())
-        print(f"{name}: done in {elapsed:.1f}s")
+    renderings, report = run_report(ALL_EXPERIMENTS, settings)
+    for name, _text in renderings:
+        seconds = sum(
+            cell.wall_seconds for cell in report.cells if cell.key[0] == name
+        )
+        print(f"{name}: {seconds:.1f}s in cells")
+    print(f"report: {report.wall_seconds:.1f}s wall")
     with open(args.out, "w") as handle:
-        handle.write("\n\n\n".join(sections) + "\n")
+        handle.write("\n\n\n".join(text for _, text in renderings) + "\n")
     print(f"\nwrote {args.out}")
 
 
