@@ -91,16 +91,23 @@ class ExtComponentsResult:
         return os_miss / os_exec
 
 
+def _workloads(
+    workload_names: tuple[str, ...] | None,
+) -> list[tuple[str, str]]:
+    """The suite's workloads: all of them, or only ``workload_names``."""
+    return [
+        (name, os_name)
+        for name, os_name in suite_workloads(SUITE)
+        if workload_names is None or name in workload_names
+    ]
+
+
 def _compute(
     settings: ExperimentSettings, workload_names: tuple[str, ...] | None
 ) -> ExtComponentsResult:
-    """One cell: attribute misses to components for each suite workload
-    (all of them, or only ``workload_names``)."""
-    pairs = suite_workloads(SUITE)
-    if workload_names is not None:
-        pairs = [(n, o) for n, o in pairs if n in workload_names]
+    """One cell: attribute misses to components for each workload."""
     rows: dict[str, dict[Component, ComponentShare]] = {}
-    for name, os_name in pairs:
+    for name, os_name in _workloads(workload_names):
         trace = get_trace(name, os_name, settings.n_instructions, settings.seed)
         ifetch_mask = trace.kinds == RefKind.IFETCH
         addresses = trace.addresses[ifetch_mask]
@@ -134,5 +141,5 @@ def plan_cells(
     raw traces directly."""
     return plan_inputs.run_cell(
         "ext_components", _compute, settings,
-        args=(workload_names,), suites=(SUITE,),
+        args=(workload_names,), workloads=_workloads(workload_names),
     )

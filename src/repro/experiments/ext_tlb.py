@@ -75,29 +75,36 @@ class ExtTlbResult:
         return float(np.mean(values)) if values else 0.0
 
 
+def _workloads(
+    workload_names: tuple[str, ...] | None,
+) -> list[tuple[str, str]]:
+    """IBS under both OS models: every workload, or only
+    ``workload_names``."""
+    return [
+        (name, os_name)
+        for suite in ("ibs-mach3", "ibs-ultrix")
+        for name, os_name in suite_workloads(suite)
+        if workload_names is None or name in workload_names
+    ]
+
+
 def _compute(
     settings: ExperimentSettings, workload_names: tuple[str, ...] | None
 ) -> ExtTlbResult:
-    """One cell: classify TLB costs for IBS under both OS models (every
-    workload, or only ``workload_names``)."""
+    """One cell: classify TLB costs for IBS under both OS models."""
     rows: dict[tuple[str, str], TlbRow] = {}
-    for suite, os_label in (("ibs-mach3", "mach3"), ("ibs-ultrix", "ultrix")):
-        for name, os_name in suite_workloads(suite):
-            if workload_names is not None and name not in workload_names:
-                continue
-            trace = get_trace(
-                name, os_name, settings.n_instructions, settings.seed
-            )
-            result = simulate_mach_tlb(
-                trace, warmup_fraction=settings.warmup_fraction
-            )
-            user_misses = result.misses_by_class.get(Component.USER, 0)
-            total = max(result.total_misses, 1)
-            rows[(name, os_label)] = TlbRow(
-                cpi_taxonomy=result.cpi,
-                effective_refill=result.effective_refill_cycles,
-                user_miss_share=user_misses / total,
-            )
+    for name, os_name in _workloads(workload_names):
+        trace = get_trace(name, os_name, settings.n_instructions, settings.seed)
+        result = simulate_mach_tlb(
+            trace, warmup_fraction=settings.warmup_fraction
+        )
+        user_misses = result.misses_by_class.get(Component.USER, 0)
+        total = max(result.total_misses, 1)
+        rows[(name, os_name)] = TlbRow(
+            cpi_taxonomy=result.cpi,
+            effective_refill=result.effective_refill_cycles,
+            user_miss_share=user_misses / total,
+        )
     return ExtTlbResult(rows=rows)
 
 
@@ -109,5 +116,5 @@ def plan_cells(
     both OS suites."""
     return plan_inputs.run_cell(
         "ext_tlb", _compute, settings,
-        args=(workload_names,), suites=("ibs-mach3", "ibs-ultrix"),
+        args=(workload_names,), workloads=_workloads(workload_names),
     )
