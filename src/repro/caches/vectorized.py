@@ -16,10 +16,14 @@ Python object at a time:
 
 Stack distances are computed offline and fully vectorized (no Python
 per-reference loop): a reference's distance is the count of distinct
-lines in the window back to its previous occurrence, which reduces to
-counting the occurrence-gap intervals nested strictly inside the
-window's own gap interval — a 2D dominance count solved by an MSD-radix
-divide and conquer made of cumulative sums and stable partitions (see
+lines in the window back to its previous occurrence, i.e. the window
+positions whose next occurrence lies beyond the reference.  The window
+is split a fixed 32 positions back: the recent part is a 32-step
+backward scan over all repeats at once, which settles every repeat with
+a short reuse gap; the older part needs only positions with a long
+next-occurrence gap — last occurrences via one prefix sum, and the few
+finite long-gap positions via one 2D dominance count (an MSD-radix
+divide and conquer made of cumulative sums and stable partitions, see
 :func:`_count_smaller_to_right`).  One distance array per grouping is
 memoized on :class:`LineOrderCache` and serves every capacity and
 associativity of a sweep.
@@ -402,12 +406,19 @@ def lru_stack_distances(lines: np.ndarray) -> np.ndarray:
     Returns ``-1`` for first touches (infinite distance).  Fully
     vectorized: the distance of a reference at position ``i`` with
     previous occurrence ``p`` is the number of distinct lines in
-    ``(p, i)``, which equals ``(i - p - 1)`` minus the number of
-    occurrence-gap intervals nested strictly inside ``(p, i)`` — a 2D
-    dominance count handled by :func:`_count_smaller_to_right`.
+    ``(p, i)`` — the positions there whose next occurrence lies past
+    ``i`` — computed by :func:`_grouped_stack_distances` as a short
+    backward scan plus a dominance count over long-gap positions only.
     """
     lines = np.asarray(lines, dtype=np.uint64)
     return _grouped_stack_distances(lines, None)
+
+
+#: Reach of the short-window scan in :func:`_grouped_stack_distances`:
+#: the last ``_SHORT_WINDOW`` positions before a repeat are counted
+#: directly, and only occurrences older than that go to the dominance
+#: count.
+_SHORT_WINDOW = 32
 
 
 def _grouped_stack_distances(
@@ -424,6 +435,22 @@ def _grouped_stack_distances(
     (:meth:`LineOrderCache.by_line` derives it once per line array).
     Returns distances in original trace order, ``-1`` for group-local
     first touches.
+
+    Each distinct line of the window ``(p, i)`` between a repeat and its
+    previous occurrence is counted once, at its last occurrence in the
+    window — the positions ``j`` whose next occurrence ``nxt[j]`` lies
+    beyond ``i``.  The window is cut ``W = _SHORT_WINDOW`` positions
+    back from ``i``:
+
+    * short part, ``j >= i - W``: a ``W``-step backward scan over all
+      repeats at once; a repeat leaves the scan when its window reaches
+      ``p``, which settles most repeats of a loop-heavy stream.
+    * long part, ``j < i - W``: only positions with a next-occurrence
+      gap above ``W`` can count.  Group-local last occurrences count
+      unconditionally (one prefix sum); the few finite long-gap
+      positions go through one dominance count
+      (:func:`_count_smaller_to_right`) together with one query per
+      remaining repeat.
     """
     n = len(lines)
     distances = np.full(n, -1, dtype=np.int64)
@@ -443,29 +470,103 @@ def _grouped_stack_distances(
     prev[by_line[repeat_slots]] = by_line[repeat_slots - 1]
     nxt = np.full(n, n, dtype=np.int64)
     nxt[by_line[repeat_slots - 1]] = by_line[repeat_slots]
-    # distance(i) = (i - p - 1) - #{gap intervals [j, next_j] strictly
-    # inside (p, i)}.  Intervals sorted by left endpoint are simply the
-    # positions with a finite next, so the nested-interval count is a
-    # count-smaller-to-right over their next positions — and the query
-    # interval (p, i) is itself the gap interval anchored at p.
-    points = np.flatnonzero(nxt < n)
-    nested = np.zeros(n, dtype=np.int64)
-    nested[points] = _count_smaller_to_right(nxt[points])
-    where = np.flatnonzero(prev >= 0)
-    p = prev[where]
+    gap = nxt - np.arange(n, dtype=np.int64)
+
+    repeats = np.flatnonzero(prev >= 0)
+    window = repeats - prev[repeats] - 1  # positions strictly inside (p, i)
+    counts = _short_window_counts(gap, repeats, window)
+    # Repeats whose window reaches past the scan: add the long part.
+    far = np.flatnonzero(window > _SHORT_WINDOW)
+    if len(far):
+        i = repeats[far]
+        p = prev[i]
+        cut = i - _SHORT_WINDOW - 1  # last position of the long part
+        last_seen = np.cumsum(nxt == n)
+        counts[far] += last_seen[cut] - last_seen[p]
+        counts[far] += _long_gap_counts(nxt, gap, p, cut)
     stream_distances = np.full(n, -1, dtype=np.int64)
-    stream_distances[where] = (where - p - 1) - nested[p]
+    stream_distances[repeats] = counts
     if order is None:
         return stream_distances
     distances[order] = stream_distances
     return distances
 
 
+def _short_window_counts(
+    gap: np.ndarray, repeats: np.ndarray, window: np.ndarray
+) -> np.ndarray:
+    """Distinct lines among the last ``_SHORT_WINDOW`` window positions.
+
+    For each repeat ``i`` with ``window`` positions between it and its
+    previous occurrence, counts the positions ``j = i - k`` for
+    ``1 <= k <= min(window, W)`` whose next occurrence lies past ``i``,
+    i.e. ``gap[j] > k``.  Repeats are visited widest window first, so
+    the ones still scanning at step ``k`` are a prefix.
+    """
+    w = _SHORT_WINDOW
+    span = np.minimum(window, w).astype(np.uint8)
+    widest_first = np.argsort(w - span, kind="stable")
+    scanning = np.cumsum(np.bincount(span, minlength=w + 1)[::-1])[::-1]
+    # Gaps beyond the window all compare the same; uint8 keeps the
+    # per-step gathers cheap.
+    reach = np.minimum(gap, w + 1).astype(np.uint8)
+    position = repeats[widest_first]
+    found = np.zeros(len(repeats), dtype=np.int64)
+    for k in range(1, w + 1):
+        active = int(scanning[k])
+        if active == 0:
+            break
+        position[:active] -= 1
+        found[:active] += reach[position[:active]] > k
+    counts = np.empty(len(repeats), dtype=np.int64)
+    counts[widest_first] = found
+    return counts
+
+
+def _long_gap_counts(
+    nxt: np.ndarray, gap: np.ndarray, p: np.ndarray, cut: np.ndarray
+) -> np.ndarray:
+    """``#{j in (p, cut] : j has a finite next occurrence past i}``.
+
+    ``i = nxt[p]`` is each query's repeat and ``cut = i - W - 1``.  A
+    position before ``cut`` whose next occurrence passes ``i`` has a gap
+    above ``W``, so only those finite long-gap points enter the count.
+    The points, in stream order, are merged with one end query per
+    repeat (placed after any point at ``cut``) and ranked by next
+    occurrence; a larger-to-the-right count then gives, at the point
+    ``p`` itself, everything after ``p`` that passes ``i``, and at the
+    end query everything after ``cut`` that does.  Their difference is
+    the window's count: an end query between the two belongs to a
+    repeat ``i' <= i``, so it never passes ``i`` and the queries do not
+    count each other.
+    """
+    n = len(nxt)
+    points = np.flatnonzero((gap > _SHORT_WINDOW) & (nxt < n))
+    # Every query anchor p is such a point: its gap i - p exceeds W + 1.
+    anchor = np.searchsorted(points, p)
+    # Merged order: a query at ``cut`` follows the point at ``cut``.
+    point_slot = np.arange(len(points)) + np.searchsorted(cut, points)
+    query_slot = np.arange(len(p)) + np.searchsorted(points, cut, "right")
+    n_points = len(points)
+    rank = np.empty(n_points, dtype=np.int64)
+    rank[np.argsort(nxt[points])] = np.arange(n_points)
+    # Descending rank, so "smaller to the right" counts later points
+    # whose next occurrence lies further out.
+    merged = np.empty(n_points + len(p), dtype=np.int64)
+    merged[point_slot] = n_points - 1 - rank
+    merged[query_slot] = n_points - 1 - rank[anchor]
+    passing = _count_smaller_to_right(merged)
+    return passing[point_slot[anchor]] - passing[query_slot]
+
+
 def _count_smaller_to_right(values: np.ndarray) -> np.ndarray:
     """For each position ``t``: ``#{s > t : values[s] < values[t]}``.
 
     Exact and fully vectorized, replacing the classic Fenwick-tree loop:
-    an MSD-radix divide and conquer over the value bits.  Elements stay
+    an MSD-radix divide and conquer over the value bits.  Stack
+    distances call it only on the long-gap residue the short-window
+    scan leaves (see :func:`_long_gap_counts`), with values rank-
+    compressed so the bit count follows that residue's size.  Elements stay
     stably partitioned by the bits already processed; at each bit, every
     element whose current bit is 1 gains the count of same-prefix
     elements after it whose bit is 0 (exactly the pairs this bit

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro._util.bitops import ilog2
-from repro.caches.vectorized import miss_mask_fully_associative
+from repro.caches.vectorized import LineOrderCache
 from repro.tlb.tlb import R2000_PAGE_SIZE, R2000_TLB_ENTRIES
 from repro.trace.record import Component
 from repro.trace.trace import Trace
@@ -115,7 +115,11 @@ def simulate_mach_tlb(
         stream_components = components
         positions = np.zeros(0, dtype=np.int64)
 
-    miss = miss_mask_fully_associative(stream, n_entries)
+    # The collapsed stream is a fresh array on every call, so it stays
+    # out of the identity-keyed line-order registry: an entry there
+    # could never hit and would only evict primed ones.
+    distances = LineOrderCache(stream).stack_distances(1)
+    miss = (distances < 0) | (distances >= n_entries)
     cut_position = int(warmup_fraction * len(pages))
     in_window = positions >= cut_position
     counted = miss & in_window

@@ -26,7 +26,7 @@ import numpy as np
 from repro._util.bitops import ilog2
 from repro._util.validate import check_positive, check_power_of_two
 from repro.caches.base import ReplacementPolicy
-from repro.caches.vectorized import miss_mask_fully_associative
+from repro.caches.vectorized import LineOrderCache
 from repro._util.lru import LruSet
 from repro._util.rng import make_rng
 
@@ -150,7 +150,11 @@ def simulate_tlb(
     else:
         unique_stream = pages
         positions = np.zeros(0, dtype=np.int64)
-    mask = miss_mask_fully_associative(unique_stream, n_entries)
+    # The collapsed stream is a fresh array on every call, so it stays
+    # out of the identity-keyed line-order registry: an entry there
+    # could never hit and would only evict primed ones.
+    distances = LineOrderCache(unique_stream).stack_distances(1)
+    mask = (distances < 0) | (distances >= n_entries)
     cut_position = int(warmup_fraction * len(pages))
     counted = mask[positions >= cut_position]
     scale = 1.0 - warmup_fraction

@@ -6,10 +6,14 @@ reference-for-reference with the sequential object simulator.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.caches.base import CacheGeometry
 from repro.caches.setassoc import SetAssociativeCache
 from repro.caches.vectorized import (
+    _SHORT_WINDOW,
+    LineOrderCache,
     compulsory_mask,
     count_misses,
     lru_stack_distances,
@@ -124,6 +128,95 @@ class TestStackDistances:
         small = miss_mask_fully_associative(lines, 16)
         large = miss_mask_fully_associative(lines, 64)
         assert not (large & ~small).any()
+
+
+def _oracle_stack_distances(lines, n_sets=1):
+    """Naive per-set LRU stacks: the distance is the line's stack depth."""
+    stacks: dict[int, list[int]] = {}
+    out = []
+    for line in (int(l) for l in lines):
+        stack = stacks.setdefault(line % n_sets, [])
+        if line in stack:
+            depth = stack.index(line)
+            del stack[depth]
+        else:
+            depth = -1
+        stack.insert(0, line)
+        out.append(depth)
+    return np.array(out, dtype=np.int64)
+
+
+@st.composite
+def _looping_lines(draw):
+    """Loop bodies repeated past the short window, with sparse inserts.
+
+    A stride of 64 lands a whole body in one set at every tested set
+    count, so grouped streams see long reuse gaps too.
+    """
+    body = draw(st.integers(1, 3 * _SHORT_WINDOW))
+    stride = draw(st.sampled_from([1, 2, 64]))
+    base = draw(st.integers(0, 1 << 16))
+    stream = [base + stride * k for k in range(body)]
+    stream *= draw(st.integers(2, 5))
+    inserts = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, len(stream)),
+                st.one_of(st.integers(0, 255), st.sampled_from(stream)),
+            ),
+            max_size=24,
+        )
+    )
+    for position, line in sorted(inserts, reverse=True):
+        stream.insert(position, line)
+    return np.array(stream, dtype=np.uint64)
+
+
+def _boundary_cases():
+    w = _SHORT_WINDOW
+    cases = {}
+    for gap in (w - 1, w, w + 1, w + 2):
+        # One line reused after `gap - 1` distinct fillers.
+        fillers = list(range(100, 100 + gap - 1))
+        cases[f"reuse-gap-{gap}"] = [7] + fillers + [7]
+        # Fillers that themselves recur inside the window.
+        cases[f"recurring-gap-{gap}"] = (
+            [7] + [100 + k % 5 for k in range(gap - 1)] + [7, 100, 7]
+        )
+    # A window longer than W holding only two distinct lines, so the
+    # long part must count last occurrences and long gaps exactly.
+    cases["few-distinct-long-window"] = [1] + [2, 3] * (2 * w) + [1, 2, 3, 1]
+    cases["long-gaps-crossing-cut"] = (
+        [1, 2] + list(range(10, 13 + w)) + [2, 1] + list(range(10, 20)) + [1]
+    )
+    return cases
+
+
+class TestStackDistanceDifferential:
+    """The split kernel against a naive LRU-stack oracle."""
+
+    @pytest.mark.parametrize("n_sets", [1, 2, 8, 64])
+    @pytest.mark.parametrize(
+        "stream",
+        [pytest.param(s, id=name) for name, s in _boundary_cases().items()],
+    )
+    def test_boundary_cases(self, stream, n_sets):
+        lines = np.array(stream, dtype=np.uint64)
+        got = LineOrderCache(lines).stack_distances(n_sets)
+        assert np.array_equal(got, _oracle_stack_distances(lines, n_sets))
+
+    @given(_looping_lines())
+    @settings(max_examples=60, deadline=None)
+    def test_looping_streams_match_oracle(self, lines):
+        cache = LineOrderCache(lines)
+        for n_sets in (1, 2, 8, 64):
+            expected = _oracle_stack_distances(lines, n_sets)
+            got = cache.stack_distances(n_sets)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, expected), n_sets
+        assert np.array_equal(
+            lru_stack_distances(lines), _oracle_stack_distances(lines)
+        )
 
 
 class TestCompulsory:

@@ -57,13 +57,18 @@ class TestVectorizedCacheProperties:
 
     @given(
         lines_strategy,
-        st.sampled_from([8, 16, 32]),
-        st.sampled_from([2, 4]),
+        st.sampled_from(
+            [(n_sets, ways) for n_sets in (8, 16, 32) for ways in (2, 4, 8)]
+            # The report's fully-associative shape: the 64-entry TLB.
+            + [(64, 0)]
+        ),
     )
-    @settings(max_examples=40)
-    def test_set_associative_matches_sequential(self, lines, n_sets, ways):
+    @settings(max_examples=60)
+    def test_set_associative_matches_sequential(self, lines, shape):
+        n_sets, ways = shape
         vec = miss_mask_set_associative(lines, n_sets, ways)
-        cache = SetAssociativeCache(CacheGeometry(n_sets * ways * 32, 32, ways))
+        capacity = n_sets * max(ways, 1)
+        cache = SetAssociativeCache(CacheGeometry(capacity * 32, 32, ways))
         seq = np.array([not cache.access_line(int(l)) for l in lines], bool)
         assert np.array_equal(vec, seq)
 
