@@ -175,12 +175,24 @@ def bench_figure7_coverage(
     _prime_traces(suite, _settings(n_instructions, seed, "auto"))
 
     def timed(engine: str):
-        dispatch.reset_totals()
-        start = time.perf_counter()
-        swept = sweep_fetch_cpi(
-            suite, points, _settings(n_instructions, seed, engine)
-        )
-        return swept, time.perf_counter() - start, dispatch.totals()
+        # Every dispatch decision of the sweep, from any thread or
+        # (replayed) pool worker of this process.
+        counts: dict[tuple[str, str], int] = {}
+
+        def sink(kind, key, amount):
+            if kind == tracing.DISPATCH:
+                counts[key] = counts.get(key, 0) + amount
+
+        tracing.subscribe(sink)
+        try:
+            start = time.perf_counter()
+            swept = sweep_fetch_cpi(
+                suite, points, _settings(n_instructions, seed, engine)
+            )
+            seconds = time.perf_counter() - start
+        finally:
+            tracing.unsubscribe(sink)
+        return swept, seconds, counts
 
     reference, reference_seconds, _ = timed("reference")
     auto, auto_seconds, auto_dispatch = timed("auto")

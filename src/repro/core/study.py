@@ -145,7 +145,9 @@ def fetch_result(
         )
     with timing.phase(timing.PHASE_SIMULATE):
         if use_vectorized:
-            dispatch.record(mechanism, dispatch.ENGINE_VECTORIZED)
+            tracing.emit(
+                tracing.DISPATCH, (mechanism, dispatch.ENGINE_VECTORIZED)
+            )
             return vectorized.run_vectorized(
                 runs,
                 config.l1,
@@ -154,7 +156,7 @@ def fetch_result(
                 warmup_fraction,
                 **options,
             )
-        dispatch.record(mechanism, dispatch.ENGINE_REFERENCE)
+        tracing.emit(tracing.DISPATCH, (mechanism, dispatch.ENGINE_REFERENCE))
         return make_engine(config, mechanism, **options).run(
             runs, warmup_fraction
         )

@@ -4,9 +4,11 @@ The package turns a run of this library into an analyzable artifact —
 the reproduction-side analogue of the paper's logic-analyzer
 methodology:
 
-* :mod:`repro.obs.tracing` — ``span()`` timeline with a per-run trace
-  id, absorbing the phase/dispatch/trace-cache observer streams;
-  pool-worker spans ship back and re-parent under the coordinating run.
+* :mod:`repro.obs.tracing` — the one event stream (``emit`` of
+  phase / dispatch / trace-cache events into the per-cell accumulator,
+  the innermost span and every ``subscribe`` sink) and the ``span()``
+  timeline with a per-run trace id; pool-worker spans ship back and
+  re-parent under the coordinating run.
 * :mod:`repro.obs.manifest` — run manifests (provenance + per-cell
   rollups + full span timeline) written next to run outputs.
 * :mod:`repro.obs.export` — Perfetto-loadable chrome-trace export,

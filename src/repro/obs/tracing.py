@@ -1,18 +1,29 @@
-"""Span-based tracing: one timeline for everything a run does.
+"""Span-based tracing and the one event stream every measurement uses.
 
-The library already measures itself three ways — phase wall-times
-(:mod:`repro.runner.timing`), engine-dispatch counters
-(:mod:`repro.fetch.dispatch`), and trace-cache lookup events
-(:mod:`repro.workloads.registry`) — but each mechanism reports into its
-own sink and nothing correlates them.  This module provides the shared
-substrate: a :func:`span` context manager building a tree of timed
-spans under a per-run **trace id**, plus observer *bridges* that absorb
-the three existing event streams as annotations on whichever span is
-active when they fire.  The result is a single timeline answering
-"where did this run's time go, per cell, per phase, per engine" — the
-software analogue of the paper's logic analyzer on the CPU pins.
+The library measures itself through one channel: :func:`emit` of a
+``(kind, key, amount)`` event, where ``kind`` is ``"phase"`` (net
+seconds of a :func:`repro.runner.timing.phase` block),
+``"dispatch"`` (a fetch-engine decision keyed ``(mechanism,
+engine)``) or ``"trace-cache"`` (a trace-registry lookup outcome).
+One :func:`emit` call feeds three consumers:
 
-Recording is opt-in and scoped: spans are collected only while a
+* this thread's per-cell accumulator, which the pool runner drains
+  with :func:`take` around every experiment cell (the
+  ``--timing-out`` report);
+* the innermost open span, when a :class:`RunRecorder` is bound
+  (run manifests and ``repro obs``);
+* every process-wide sink registered with :func:`subscribe` (the
+  serving tier's ``/metrics``).
+
+Pool workers ship each cell's accumulated record back with its
+result; the coordinating process feeds it to the sinks with
+:func:`replay`, which skips spans because the shipped worker spans
+already carry the same events.  The result is a single timeline
+answering "where did this run's time go, per cell, per phase, per
+engine" — the software analogue of the paper's logic analyzer on the
+CPU pins.
+
+Span recording is opt-in and scoped: spans are collected only while a
 :class:`RunRecorder` is bound to the current thread (via :func:`run` or
 :meth:`RunRecorder.bind`); otherwise :func:`span` is inert and costs a
 thread-local read.  Pool worker processes capture their cells into
@@ -20,9 +31,9 @@ local recorders (see :func:`cell_capture`) and ship the finished span
 records back with the cell results; the coordinating run re-parents
 them under its own trace id with :meth:`RunRecorder.adopt`.
 
-Like :mod:`repro.runner.timing`, this module imports nothing from the
-rest of the library at module scope (the bridges hook the observer
-registries lazily), so every layer can use it without import cycles.
+This module imports nothing from the rest of the library at module
+scope, so every layer (the timing phases included) can emit without
+import cycles.
 """
 
 from __future__ import annotations
@@ -39,10 +50,19 @@ from typing import Iterator
 #: only the point-in-time event list is capped, with a drop counter.
 MAX_EVENTS_PER_SPAN = 512
 
+#: Event kinds carried by :func:`emit`.
+PHASE = "phase"
+DISPATCH = "dispatch"
+TRACE_CACHE = "trace-cache"
+
 _tls = threading.local()
 
-_bridge_lock = threading.Lock()
-_bridges_installed = False
+#: Process-wide sinks, called with every emitted or replayed event.
+#: Copy-on-write under ``_sinks_lock``: :func:`emit` iterates whichever
+#: tuple it read, so a concurrent subscribe/unsubscribe can neither
+#: skip a registered sink nor corrupt the sequence.
+_sinks: tuple = ()
+_sinks_lock = threading.Lock()
 
 #: Process-global default for :func:`cell_capture`: pool workers set
 #: this (via their initializer) so cells executed without an inherited
@@ -68,14 +88,6 @@ def _json_safe(value):
     if isinstance(value, dict):
         return {str(key): _json_safe(item) for key, item in value.items()}
     return str(value)
-
-
-def _nest_dispatch(counts: dict) -> dict:
-    """``(mechanism, engine)`` counts as ``{engine: {mechanism: n}}``."""
-    nested: dict[str, dict[str, int]] = {}
-    for mechanism, engine in sorted(counts):
-        nested.setdefault(engine, {})[mechanism] = counts[(mechanism, engine)]
-    return nested
 
 
 def _stack() -> list:
@@ -116,39 +128,19 @@ def current_span():
     return stack[-1] if stack else None
 
 
-def _suppressed() -> bool:
-    return getattr(_tls, "suppress", 0) > 0
-
-
-@contextmanager
-def suppressed() -> Iterator[None]:
-    """Silence the observer bridges on this thread.
-
-    The pool runner replays worker-side phase/dispatch records into the
-    parent's observers (for live service metrics); without suppression
-    that replay would be double-absorbed into the parent's spans on top
-    of the shipped worker spans that already carry it.
-    """
-    _tls.suppress = getattr(_tls, "suppress", 0) + 1
-    try:
-        yield
-    finally:
-        _tls.suppress -= 1
-
-
 class Span:
     """One open span: a named, attributed interval on the timeline.
 
-    Aggregates the bridged event streams while open — net seconds per
-    phase, dispatch decisions per (mechanism, engine), trace-cache
-    outcome counts — plus a bounded list of discrete events.  Closed
-    spans are plain dicts (picklable across the pool boundary).
+    Aggregates the events emitted while it is the innermost span —
+    net seconds per phase, dispatch decisions per (mechanism, engine),
+    trace-cache outcome counts, as ``totals[kind][key]`` — plus a
+    bounded list of discrete events.  Closed spans are plain dicts
+    (picklable across the pool boundary).
     """
 
     __slots__ = (
         "name", "span_id", "parent_id", "attrs", "start", "pid", "thread",
-        "events", "dropped_events", "phases", "dispatch", "cache",
-        "_t0", "_cpu0",
+        "events", "dropped_events", "totals", "_t0", "_cpu0",
     )
 
     def __init__(self, name: str, parent_id: str | None, attrs: dict):
@@ -160,9 +152,7 @@ class Span:
         self.thread = threading.current_thread().name
         self.events: list[dict] = []
         self.dropped_events = 0
-        self.phases: dict[str, float] = {}
-        self.dispatch: dict[tuple, int] = {}
-        self.cache: dict[str, int] = {}
+        self.totals: dict[str, dict] = {}
         self.start = time.time()
         self._t0 = time.perf_counter()
         self._cpu0 = time.thread_time()
@@ -182,6 +172,10 @@ class Span:
 
     def finish(self, trace_id: str) -> dict:
         """Close the span and return its JSON-ready record."""
+        # Lazy: the timing module imports this one at module scope.
+        from repro.runner.timing import _nest_dispatch
+
+        totals = self.totals
         record = {
             "name": self.name,
             "span_id": self.span_id,
@@ -194,9 +188,9 @@ class Span:
             "cpu_seconds": time.thread_time() - self._cpu0,
             "attrs": self.attrs,
             "events": self.events,
-            "phases": dict(self.phases),
-            "engine_dispatch": _nest_dispatch(self.dispatch),
-            "trace_cache": dict(self.cache),
+            "phases": dict(totals.get(PHASE, {})),
+            "engine_dispatch": _nest_dispatch(totals.get(DISPATCH, {})),
+            "trace_cache": dict(totals.get(TRACE_CACHE, {})),
         }
         if self.dropped_events:
             record["dropped_events"] = self.dropped_events
@@ -262,7 +256,6 @@ class RunRecorder:
         Executor threads use this to join a run that was started
         elsewhere (thread-locals do not cross ``run_in_executor``).
         """
-        _install_bridges()
         previous = getattr(_tls, "recorder", None)
         _tls.recorder = self
         try:
@@ -359,53 +352,77 @@ def cell_capture(key: tuple, attrs: dict | None = None) -> Iterator[CellSpans]:
     holder.records = local.spans
 
 
-# -- observer bridges -------------------------------------------------
+# -- the event stream -------------------------------------------------
 
 
-def _bridge_span() -> Span | None:
-    if _suppressed() or _active_recorder() is None:
-        return None
-    stack = _stack()
-    return stack[-1] if stack else None
+def _event_attrs(kind: str, key, amount) -> dict:
+    """The attributes of one emitted event's span annotation."""
+    if kind == PHASE:
+        return {"phase": key, "seconds": amount}
+    if kind == DISPATCH:
+        return {"mechanism": key[0], "engine": key[1], "count": amount}
+    return {"result": key}
 
 
-def _on_phase(name: str, seconds: float) -> None:
-    current = _bridge_span()
+def emit(kind: str, key, amount=1) -> None:
+    """Record one measurement event.
+
+    Adds ``amount`` under ``key`` to this thread's per-cell accumulator
+    (drained by :func:`take`), to the innermost open span when a
+    recorder is bound, and calls every subscribed sink with
+    ``(kind, key, amount)``.
+    """
+    events = getattr(_tls, "events", None)
+    if events is None:
+        events = _tls.events = {}
+    bucket = events.setdefault(kind, {})
+    bucket[key] = bucket.get(key, 0) + amount
+    current = current_span()
     if current is not None:
-        current.phases[name] = current.phases.get(name, 0.0) + seconds
-        current.add_event("phase", phase=name, seconds=seconds)
+        bucket = current.totals.setdefault(kind, {})
+        bucket[key] = bucket.get(key, 0) + amount
+        current.add_event(kind, **_event_attrs(kind, key, amount))
+    for sink in _sinks:
+        sink(kind, key, amount)
 
 
-def _on_dispatch(mechanism: str, engine: str, count: int) -> None:
-    current = _bridge_span()
-    if current is not None:
-        key = (mechanism, engine)
-        current.dispatch[key] = current.dispatch.get(key, 0) + count
-        current.add_event(
-            "dispatch", mechanism=mechanism, engine=engine, count=count
-        )
+def take() -> dict[str, dict]:
+    """This thread's accumulated events as ``{kind: {key: amount}}``,
+    resetting the accumulator."""
+    events = getattr(_tls, "events", None)
+    _tls.events = {}
+    return events or {}
 
 
-def _on_trace_cache(event: str) -> None:
-    current = _bridge_span()
-    if current is not None:
-        current.cache[event] = current.cache.get(event, 0) + 1
-        current.add_event("trace-cache", result=event)
+def replay(record: dict[str, dict]) -> None:
+    """Feed a record from :func:`take` (shipped back by a pool worker)
+    to the sinks only.
+
+    Spans and the accumulator are skipped: the worker's shipped spans
+    and its cell timing already carry these events.
+    """
+    sinks = _sinks
+    for kind, bucket in record.items():
+        for key, amount in bucket.items():
+            for sink in sinks:
+                sink(kind, key, amount)
 
 
-def _install_bridges() -> None:
-    """Hook the phase/dispatch/cache observer registries (once)."""
-    global _bridges_installed
-    if _bridges_installed:
-        return
-    with _bridge_lock:
-        if _bridges_installed:
-            return
-        from repro.fetch import dispatch as _dispatch
-        from repro.runner import timing as _timing
-        from repro.workloads import registry as _registry
+def subscribe(sink) -> None:
+    """Call ``sink(kind, key, amount)`` on every event of this process.
 
-        _timing.add_phase_observer(_on_phase)
-        _dispatch.add_observer(_on_dispatch)
-        _registry.add_trace_cache_observer(_on_trace_cache)
-        _bridges_installed = True
+    Sinks see events from every thread, plus worker records replayed by
+    the pool runner; they must be cheap and must not raise.
+    Idempotent.
+    """
+    global _sinks
+    with _sinks_lock:
+        if sink not in _sinks:
+            _sinks = _sinks + (sink,)
+
+
+def unsubscribe(sink) -> None:
+    """Remove a sink installed by :func:`subscribe` (no-op if absent)."""
+    global _sinks
+    with _sinks_lock:
+        _sinks = tuple(other for other in _sinks if other != sink)

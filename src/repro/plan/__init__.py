@@ -41,10 +41,8 @@ from repro.plan.inputs import (
 )
 from repro.plan.compile import compile_module, compile_report
 from repro.plan.executor import (
-    add_plan_observer,
     execute_cells,
     execute_plan,
-    remove_plan_observer,
     run_experiment,
     run_report,
 )
@@ -57,7 +55,6 @@ __all__ = [
     "PlanInputs",
     "SweepPlan",
     "TraceKey",
-    "add_plan_observer",
     "compile_module",
     "compile_report",
     "execute_cells",
@@ -66,7 +63,6 @@ __all__ = [
     "mask_shape_plan",
     "point_streams",
     "prime_miss_masks",
-    "remove_plan_observer",
     "run_cell",
     "run_experiment",
     "run_report",

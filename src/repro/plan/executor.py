@@ -27,15 +27,17 @@ batches all land here:
 Plan-level dedup counters (``cells_total``, ``inputs_shared``,
 ``inputs_primed``, ...) ride on the returned
 :class:`~repro.runner.timing.TimingReport` (the ``plan`` block of
-``--timing-out``), on the ``plan-prime`` span, and — through
-:func:`add_plan_observer` — on the service's ``/metrics``.
+``--timing-out``, which the service scheduler also exports on
+``/metrics``) and on the ``plan-prime`` span.  Priming's phase
+seconds are drained from the event stream
+(:func:`repro.obs.tracing.take`) into the plan block's
+``prime_phases``.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 from repro.caches.vectorized import configure_order_cache, order_cache_stats
 from repro.obs import tracing
@@ -48,48 +50,16 @@ from repro.plan.ir import (
     collect_inputs,
     dedup_cells,
 )
-from repro.runner import timing
 from repro.runner.pool import resolve_jobs, run_cells
 from repro.runner.timing import TimingReport
 from repro.workloads.registry import get_line_runs, get_trace
 
 __all__ = [
-    "add_plan_observer",
     "execute_cells",
     "execute_plan",
-    "remove_plan_observer",
     "run_experiment",
     "run_report",
 ]
-
-#: Process-wide plan observers (the serving layer's live metrics feed),
-#: called with each executed plan's stats dict.  Mirrors the phase and
-#: dispatch observer registries: cheap, must not raise.
-_observers: list[Callable[[dict], None]] = []
-_observers_lock = threading.Lock()
-
-
-def add_plan_observer(observer: Callable[[dict], None]) -> None:
-    """Register ``observer(stats)`` to fire after every plan execution."""
-    with _observers_lock:
-        if observer not in _observers:
-            _observers.append(observer)
-
-
-def remove_plan_observer(observer: Callable[[dict], None]) -> None:
-    """Unregister an observer installed by :func:`add_plan_observer`."""
-    with _observers_lock:
-        try:
-            _observers.remove(observer)
-        except ValueError:
-            pass
-
-
-def _notify(stats: dict) -> None:
-    with _observers_lock:
-        observers = tuple(_observers)
-    for observer in observers:
-        observer(stats)
 
 
 def _prime_inputs(inputs: PlanInputs) -> int:
@@ -157,7 +127,8 @@ def execute_cells(
         if needed > previous_entries:
             configure_order_cache(max_entries=needed)
         if inputs.total:
-            phases_before = timing.snapshot()
+            # Priming's phases are the events emitted from here on.
+            tracing.take()
             prime_start = time.perf_counter()
             with tracing.span(
                 "plan-prime",
@@ -170,18 +141,14 @@ def execute_cells(
             stats["prime_seconds"] = round(
                 time.perf_counter() - prime_start, 6
             )
-            phases_after = timing.snapshot()
-            stats["prime_phases"] = {
-                name: round(seconds - phases_before.get(name, 0.0), 6)
-                for name, seconds in phases_after.items()
-                if seconds - phases_before.get(name, 0.0) > 0.0
-            }
+            # Unrounded, so TimingReport.phase_totals equals the sum
+            # over the run's spans exactly.
+            stats["prime_phases"] = tracing.take().get(tracing.PHASE, {})
         results_unique, cell_timings = run_cells(unique, jobs)
     finally:
         if needed > previous_entries:
             configure_order_cache(max_entries=previous_entries)
     results = [results_unique[index] for index in index_map]
-    _notify(dict(stats, label=label))
     report = TimingReport(
         label=label,
         jobs=resolve_jobs(jobs),

@@ -3,7 +3,8 @@
 The runner package is the library's sweep engine:
 
 * :mod:`repro.runner.timing` — per-phase wall-time accounting
-  (synthesize / line-runs / simulate) and JSON timing reports.
+  (synthesize / line-runs / simulate) emitted on the event stream, and
+  JSON timing reports.
 * :mod:`repro.runner.cache` — the persistent on-disk trace and
   line-run cache (``REPRO_CACHE_DIR`` / ``--cache-dir``).
 * :mod:`repro.runner.pool` — the process-pool cell runner behind the
@@ -15,8 +16,8 @@ them to plan cells and executes those on :func:`run_cells`.
 
 Only :mod:`~repro.runner.timing` is imported eagerly: the low-level
 modules (the workload registry, the RLE encoder, the metrics layer)
-mark their phases through it, so it must import nothing from the rest
-of the library.  ``cache`` and ``pool`` load on first attribute access.
+mark their phases through it, so it imports nothing from the rest of
+the library but the import-free :mod:`repro.obs.tracing` event stream.  ``cache`` and ``pool`` load on first attribute access.
 """
 
 from repro.runner import timing

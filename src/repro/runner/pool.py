@@ -27,9 +27,7 @@ from typing import TYPE_CHECKING
 
 import multiprocessing
 
-from repro.fetch import dispatch
 from repro.obs import tracing
-from repro.runner import timing
 from repro.runner.timing import CellTiming
 
 if TYPE_CHECKING:
@@ -85,9 +83,15 @@ def _cell_attrs(args: tuple) -> dict:
 
 
 def _execute_cell(key: tuple, fn: Callable, args: tuple):
-    """Run one cell under fresh phase/dispatch accumulators (worker side)."""
-    timing.reset()
-    dispatch.reset()
+    """Run one cell and drain the events it emitted (worker side).
+
+    Returns ``(result, timing, events, spans)``: ``events`` is the
+    cell's :func:`~repro.obs.tracing.take` record of all three event
+    kinds, which the coordinator replays to its sinks.
+    """
+    # Events emitted on this thread before the cell (or inherited
+    # across fork) belong to no cell.
+    tracing.take()
     start = time.perf_counter()
     with tracing.cell_capture(key, _cell_attrs(args)) as captured:
         try:
@@ -99,13 +103,14 @@ def _execute_cell(key: tuple, fn: Callable, args: tuple):
                 key, f"{type(exc).__name__}: {exc}"
             ) from exc
     wall = time.perf_counter() - start
+    events = tracing.take()
     cell_timing = CellTiming(
         key=key,
         wall_seconds=wall,
-        phases=timing.snapshot(reset=True),
-        dispatch=dispatch.snapshot(reset=True),
+        phases=events.get(tracing.PHASE, {}),
+        dispatch=events.get(tracing.DISPATCH, {}),
     )
-    return result, cell_timing, captured.records
+    return result, cell_timing, events, captured.records
 
 
 def _registry_snapshot() -> dict:
@@ -171,22 +176,18 @@ def run_cells(
                 pool.submit(_execute_cell, c.key, c.fn, c.args) for c in cells
             ]
             outcomes = [future.result() for future in futures]
-        # Workers accumulate phases and dispatch counts in their own
-        # processes; replay them so parent-side observers and totals
-        # (live service metrics) see the same stream a serial run
-        # produces.  The replay is suppressed from the tracing bridges:
-        # the shipped worker spans below already carry those records,
-        # and absorbing the replay too would double-count them.
-        with tracing.suppressed():
-            for _, cell_timing, _ in outcomes:
-                timing.notify_phases(cell_timing.phases)
-                dispatch.notify(cell_timing.dispatch)
+        # Workers emit into their own processes; replaying each cell's
+        # events gives the parent's sinks (live service metrics) the
+        # same stream a serial run produces.  The shipped worker spans
+        # adopted below already carry these events, so replay skips
+        # spans.
         recorder = tracing.active_recorder()
-        if recorder is not None:
-            parent = tracing.current_span()
-            parent_id = parent.span_id if parent is not None else None
-            for _, _, spans in outcomes:
+        parent = tracing.current_span()
+        parent_id = parent.span_id if parent is not None else None
+        for _, _, events, spans in outcomes:
+            tracing.replay(events)
+            if recorder is not None:
                 recorder.adopt(spans, parent_id)
-    results = [result for result, _, _ in outcomes]
-    timings = [cell_timing for _, cell_timing, _ in outcomes]
+    results = [result for result, _, _, _ in outcomes]
+    timings = [cell_timing for _, cell_timing, _, _ in outcomes]
     return results, timings

@@ -4,8 +4,10 @@ The sweep engine wants to know *where* an experiment's wall-clock time
 goes — synthesizing traces, run-length encoding them, or simulating
 caches — so perf work on the runner has a measured baseline instead of
 guesses.  The hot paths mark themselves with the :func:`phase` context
-manager; the pool runner snapshots the per-thread accumulator around
-every experiment cell and merges the results into a
+manager, which emits each block's net seconds as a ``"phase"`` event
+on the one event stream (:func:`repro.obs.tracing.emit`); the pool
+runner drains that stream's per-thread accumulator around every
+experiment cell into a :class:`CellTiming`, and the cells merge into a
 :class:`TimingReport` written as JSON next to the experiment output.
 
 Nesting attributes time to the *innermost* phase only: a ``simulate``
@@ -14,9 +16,10 @@ reports the encoding time as ``line-runs``, not twice.  The overhead is
 two ``perf_counter`` calls per phase entry, far below the milliseconds
 the instrumented phases take.
 
-This module deliberately imports nothing from the rest of the library so
-the low-level modules (registry, RLE encoder, metrics) can use it
-without import cycles.
+This module imports nothing from the rest of the library except
+:mod:`repro.obs.tracing` (which itself imports nothing), so the
+low-level modules (registry, RLE encoder, metrics) can use it without
+import cycles.
 """
 
 from __future__ import annotations
@@ -25,10 +28,12 @@ import json
 import os
 import threading
 import time
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator
+
+from repro.obs import tracing
 
 #: Phase names used by the instrumented library code.
 PHASE_SYNTHESIZE = "synthesize"
@@ -36,58 +41,9 @@ PHASE_TRACE_LOAD = "trace-load"
 PHASE_LINE_RUNS = "line-runs"
 PHASE_SIMULATE = "simulate"
 
+#: This thread's stack of open phases (for nesting); the seconds
+#: themselves accumulate on the event stream.
 _state = threading.local()
-
-#: Process-wide phase observers (the serving layer's live metrics feed).
-#: Unlike the accumulator these are deliberately *not* thread-local:
-#: the HTTP service runs jobs on worker threads and wants one stream.
-#: Registration and notification are serialized through a lock so
-#: adding/removing an observer while another thread is inside a phase
-#: exit can neither skip a registered observer nor corrupt the list.
-_observers: list[Callable[[str, float], None]] = []
-_observers_lock = threading.Lock()
-
-
-def add_phase_observer(observer: Callable[[str, float], None]) -> None:
-    """Register ``observer(name, seconds)`` to fire on every phase exit.
-
-    Observers see the *net* time of each phase (nested phases already
-    subtracted) from every thread of this process.  They must be cheap
-    and must not raise.  Thread-safe, idempotent.
-    """
-    with _observers_lock:
-        if observer not in _observers:
-            _observers.append(observer)
-
-
-def remove_phase_observer(observer: Callable[[str, float], None]) -> None:
-    """Unregister an observer installed by :func:`add_phase_observer`."""
-    with _observers_lock:
-        try:
-            _observers.remove(observer)
-        except ValueError:
-            pass
-
-
-def _observer_snapshot() -> tuple:
-    """A consistent copy of the observer list to notify outside the lock."""
-    with _observers_lock:
-        return tuple(_observers)
-
-
-def notify_phases(phases: Mapping[str, float]) -> None:
-    """Replay an already-accumulated phase record through the observers.
-
-    The pool runner uses this to surface phase timings measured inside
-    worker *processes* (where no observers are registered) to observers
-    in the parent.
-    """
-    if not _observers:
-        return
-    observers = _observer_snapshot()
-    for name, seconds in phases.items():
-        for observer in observers:
-            observer(name, seconds)
 
 
 def _frames() -> list[list]:
@@ -95,13 +51,6 @@ def _frames() -> list[list]:
     if frames is None:
         frames = _state.frames = []
     return frames
-
-
-def _phases() -> dict[str, float]:
-    phases = getattr(_state, "phases", None)
-    if phases is None:
-        phases = _state.phases = {}
-    return phases
 
 
 @contextmanager
@@ -120,28 +69,9 @@ def phase(name: str) -> Iterator[None]:
     finally:
         elapsed = time.perf_counter() - frame[1]
         frames.pop()
-        net = max(elapsed - frame[2], 0.0)
-        phases = _phases()
-        phases[name] = phases.get(name, 0.0) + net
         if frames:
             frames[-1][2] += elapsed
-        if _observers:
-            for observer in _observer_snapshot():
-                observer(name, net)
-
-
-def snapshot(reset: bool = False) -> dict[str, float]:
-    """The accumulated seconds per phase on this thread (a copy)."""
-    phases = dict(_phases())
-    if reset:
-        _phases().clear()
-    return phases
-
-
-def reset() -> None:
-    """Zero this thread's phase accumulator."""
-    _phases().clear()
-    del _frames()[:]
+        tracing.emit(tracing.PHASE, name, max(elapsed - frame[2], 0.0))
 
 
 def _flatten_dispatch(
@@ -160,9 +90,8 @@ def _nest_dispatch(
 ) -> dict[str, dict[str, int]]:
     """``(mechanism, engine)`` counts as ``{engine: {mechanism: n}}``.
 
-    The JSON shape of dispatch counts in timing reports.  Local rather
-    than shared with :mod:`repro.fetch.dispatch` because this module
-    must not import library code (see the module docstring).
+    The JSON shape of dispatch counts in timing reports and in span
+    records; deterministic key order.
     """
     nested: dict[str, dict[str, int]] = {}
     for mechanism, engine in sorted(counts):
@@ -180,9 +109,9 @@ class CellTiming:
         phases: seconds per instrumented phase inside the cell; the
             remainder (``wall - sum(phases)``) is uninstrumented glue.
         dispatch: fetch-engine dispatch decisions made inside the cell
-            as ``(mechanism, engine) -> count`` (see
-            :mod:`repro.fetch.dispatch`) — how often the vectorized
-            kernels ran versus the reference fallback.
+            as ``(mechanism, engine) -> count`` (the ``"dispatch"``
+            events of :mod:`repro.obs.tracing`) — how often the
+            vectorized kernels ran versus the reference fallback.
     """
 
     key: tuple

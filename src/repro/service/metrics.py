@@ -5,8 +5,9 @@ queue-depth gauge, and per-phase latency histograms — exported in the
 Prometheus text format at ``GET /metrics`` (and as JSON for tests and
 tooling).  Everything here is stdlib: a handful of dicts behind one
 lock, safe to update from the event loop, from job worker threads, and
-from the :func:`repro.runner.timing.add_phase_observer` callback that
-feeds simulation phase timings in live.
+from the scheduler's :func:`repro.obs.tracing.subscribe` sink that
+feeds phase timings, engine-dispatch decisions and trace-cache lookups
+in live (pool workers' events arrive through the pool's replay).
 
 Metric identity is ``(name, labels)`` where labels is a small dict
 (``{"phase": "simulate"}``); the registry namespaces everything under

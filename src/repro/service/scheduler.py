@@ -35,7 +35,6 @@ from dataclasses import dataclass
 
 from repro.core.config import MemorySystemConfig
 from repro.core.study import evaluate_trace
-from repro.fetch import dispatch
 from repro.experiments.common import (
     ExperimentSettings,
     canonical_job_key,
@@ -48,8 +47,6 @@ from repro.obs.manifest import build_manifest, write_manifest
 from repro.plan import inputs as plan_inputs
 from repro.plan.executor import execute_cells, run_experiment
 from repro.plan.ir import PlanCell
-from repro.runner import timing
-from repro.workloads import registry
 
 #: Job lifecycle states.
 PENDING = "pending"
@@ -378,45 +375,45 @@ class JobScheduler:
         self._jobs: dict[str, Job] = {}
         self._pending_eval: dict[tuple, list[tuple[EvaluateRequest, Job]]] = {}
         self._max_finished_jobs = max_finished_jobs
-        # Live per-phase latency feed: the runner's phase contexts (and
-        # the pool's worker-timing replay) land in the histograms as
-        # they happen, not only at job completion.
-        self._phase_observer = lambda name, seconds: self.metrics.observe(
-            "phase_seconds", seconds, {"phase": name}
-        )
-        timing.add_phase_observer(self._phase_observer)
-        # Trace-cache outcome counters: every registry lookup lands as
-        # a memory-hit / disk-hit / synthesized event, so operators can
-        # see cold-path synthesis pressure directly in /metrics.
-        self._trace_cache_observer = lambda event: self.metrics.inc(
-            "trace_cache_lookups_total", {"result": event}
-        )
-        registry.add_trace_cache_observer(self._trace_cache_observer)
-        # Engine-dispatch counters: every fetch simulation records which
-        # engine ran it (vectorized kernel vs. reference fallback), so a
-        # coverage regression shows up in /metrics as reference-engine
-        # traffic rather than as an unexplained latency increase.
-        self._dispatch_observer = lambda mechanism, engine, count: (
+        # Live measurement feed: every event of the process (and the
+        # pool's replay of worker cells) lands in /metrics as it
+        # happens, not only at job completion.
+        tracing.subscribe(self._on_event)
+
+    def _on_event(self, kind: str, key, amount) -> None:
+        """Map one event-stream event onto its ``/metrics`` series.
+
+        Phases feed the ``phase_seconds`` histograms; engine-dispatch
+        decisions count into ``engine_dispatch_total``, so a kernel
+        coverage regression shows up as reference-engine traffic rather
+        than as unexplained latency; trace-cache outcomes count into
+        ``trace_cache_lookups_total``, exposing cold-path synthesis
+        pressure directly.
+        """
+        if kind == tracing.PHASE:
+            self.metrics.observe("phase_seconds", amount, {"phase": key})
+        elif kind == tracing.DISPATCH:
+            mechanism, engine = key
             self.metrics.inc(
                 "engine_dispatch_total",
                 {"mechanism": mechanism, "engine": engine},
-                count,
+                amount,
             )
-        )
-        dispatch.add_observer(self._dispatch_observer)
+        elif kind == tracing.TRACE_CACHE:
+            self.metrics.inc(
+                "trace_cache_lookups_total", {"result": key}, amount
+            )
 
     # -- lifecycle -----------------------------------------------------
 
     def close(self) -> None:
-        """Detach from the timing feed and stop the worker threads.
+        """Detach from the event stream and stop the worker threads.
 
         Idempotent; safe after :meth:`drain`.  Does not wait for
         in-flight work — the graceful path is ``await drain()`` first.
         """
         self._draining = True
-        timing.remove_phase_observer(self._phase_observer)
-        registry.remove_trace_cache_observer(self._trace_cache_observer)
-        dispatch.remove_observer(self._dispatch_observer)
+        tracing.unsubscribe(self._on_event)
         self._executor.shutdown(wait=False, cancel_futures=True)
 
     async def drain(self, timeout: float | None = None) -> dict:

@@ -24,6 +24,7 @@ import os
 
 import numpy as np
 
+from repro.obs import tracing
 from repro.runner import timing
 from repro.trace.rle import LineRuns
 from repro.trace.trace import Trace
@@ -164,37 +165,11 @@ _trace_cache = BoundedTraceCache(
 _UNSET = object()
 _disk_cache = _UNSET
 
-#: Trace-cache outcome events, fired once per :func:`get_trace` call.
+#: Trace-cache outcomes, emitted as ``"trace-cache"`` events (see
+#: :func:`repro.obs.tracing.emit`) once per :func:`get_trace` call.
 TRACE_CACHE_MEMORY_HIT = "memory-hit"
 TRACE_CACHE_DISK_HIT = "disk-hit"
 TRACE_CACHE_SYNTHESIZED = "synthesized"
-
-#: Process-wide cache-outcome observers (the serving layer's hit/miss
-#: counters).  Observers must be cheap and must not raise.
-_cache_observers: list = []
-
-
-def add_trace_cache_observer(observer) -> None:
-    """Register ``observer(event)`` to fire on every trace lookup.
-
-    ``event`` is one of :data:`TRACE_CACHE_MEMORY_HIT`,
-    :data:`TRACE_CACHE_DISK_HIT` or :data:`TRACE_CACHE_SYNTHESIZED`.
-    """
-    if observer not in _cache_observers:
-        _cache_observers.append(observer)
-
-
-def remove_trace_cache_observer(observer) -> None:
-    """Unregister an observer from :func:`add_trace_cache_observer`."""
-    try:
-        _cache_observers.remove(observer)
-    except ValueError:
-        pass
-
-
-def _notify_cache(event: str) -> None:
-    for observer in list(_cache_observers):
-        observer(event)
 
 
 def get_workload(name: str, os_name: str = MACH3) -> WorkloadParams:
@@ -259,7 +234,7 @@ def get_trace(
     key = (name, os_name, n_instructions, seed)
     trace = _trace_cache.get(key)
     if trace is not None:
-        _notify_cache(TRACE_CACHE_MEMORY_HIT)
+        tracing.emit(tracing.TRACE_CACHE, TRACE_CACHE_MEMORY_HIT)
         return trace
     params = get_workload(name, os_name)
     backend = trace_cache_backend()
@@ -272,9 +247,9 @@ def get_trace(
             trace = synthesize_trace(params, n_instructions, seed=seed)
         if backend is not None:
             backend.store(trace, params, n_instructions, seed)
-        _notify_cache(TRACE_CACHE_SYNTHESIZED)
+        tracing.emit(tracing.TRACE_CACHE, TRACE_CACHE_SYNTHESIZED)
     else:
-        _notify_cache(TRACE_CACHE_DISK_HIT)
+        tracing.emit(tracing.TRACE_CACHE, TRACE_CACHE_DISK_HIT)
     _trace_cache.put(key, trace)
     return trace
 

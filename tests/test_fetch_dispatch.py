@@ -1,15 +1,17 @@
-"""Engine-dispatch accounting: counters, observers, and report plumbing.
+"""Engine-dispatch accounting: events, sinks, and report plumbing.
 
-``repro.fetch.dispatch`` records which engine (vectorized kernel or
-reference fallback) ran each fetch simulation.  These tests pin the
-accounting layer end to end: the thread-local/process-total split, the
-observer fan-out the serving tier hangs metrics on, the recording site
-in :func:`repro.core.study.fetch_result`, and the ``engine_dispatch``
-sections of the runner's timing reports.
+:func:`repro.core.study.fetch_result` emits which engine (vectorized
+kernel or reference fallback) ran each fetch simulation as a
+``"dispatch"`` event on the :mod:`repro.obs.tracing` stream.  These
+tests pin the accounting end to end: the per-thread accumulator and
+the process-wide sinks the serving tier hangs metrics on, the
+recording site, and the ``engine_dispatch`` sections of the runner's
+timing reports.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
@@ -18,111 +20,136 @@ from repro.caches.base import CacheGeometry
 from repro.core.config import MemorySystemConfig
 from repro.core.study import fetch_result
 from repro.fetch import ECONOMY_MEMORY, dispatch
+from repro.obs import tracing
 from repro.plan.ir import PlanCell
 from repro.runner.pool import run_cells
-from repro.runner.timing import CellTiming, TimingReport
+from repro.runner.timing import CellTiming, TimingReport, _nest_dispatch
 
 
 @pytest.fixture(autouse=True)
 def _clean_dispatch():
-    dispatch.reset()
-    dispatch.reset_totals()
+    tracing.take()
     yield
-    dispatch.reset()
-    dispatch.reset_totals()
+    tracing.take()
+
+
+def _record(mechanism: str, engine: str, count: int = 1) -> None:
+    tracing.emit(tracing.DISPATCH, (mechanism, engine), count)
+
+
+def _dispatches() -> dict:
+    """The dispatch counts accumulated on this thread (drains it)."""
+    return tracing.take().get(tracing.DISPATCH, {})
 
 
 class TestAccumulators:
     def test_record_and_snapshot(self):
-        dispatch.record("demand", dispatch.ENGINE_VECTORIZED)
-        dispatch.record("demand", dispatch.ENGINE_VECTORIZED)
-        dispatch.record("victim", dispatch.ENGINE_REFERENCE)
-        snap = dispatch.snapshot()
+        _record("demand", dispatch.ENGINE_VECTORIZED)
+        _record("demand", dispatch.ENGINE_VECTORIZED)
+        _record("victim", dispatch.ENGINE_REFERENCE)
+        snap = _dispatches()
         assert snap[("demand", dispatch.ENGINE_VECTORIZED)] == 2
         assert snap[("victim", dispatch.ENGINE_REFERENCE)] == 1
 
     def test_snapshot_reset(self):
-        dispatch.record("demand", dispatch.ENGINE_VECTORIZED)
-        first = dispatch.snapshot(reset=True)
+        seen = []
+        sink = lambda kind, key, amount: seen.append((kind, key, amount))
+        tracing.subscribe(sink)
+        try:
+            _record("demand", dispatch.ENGINE_VECTORIZED)
+        finally:
+            tracing.unsubscribe(sink)
+        first = tracing.take()
         assert first
-        assert dispatch.snapshot() == {}
-        # Process totals survive a thread-local reset.
-        assert dispatch.totals()[("demand", dispatch.ENGINE_VECTORIZED)] == 1
+        assert tracing.take() == {}
+        # Sinks saw the event independently of the accumulator.
+        assert seen == [
+            (tracing.DISPATCH, ("demand", dispatch.ENGINE_VECTORIZED), 1)
+        ]
 
     def test_observers(self):
         seen = []
-        observer = lambda m, e, n: seen.append((m, e, n))
-        dispatch.add_observer(observer)
+        sink = lambda kind, key, amount: seen.append((key, amount))
+        tracing.subscribe(sink)
         try:
-            dispatch.record("markov", dispatch.ENGINE_VECTORIZED, count=3)
+            _record("markov", dispatch.ENGINE_VECTORIZED, count=3)
         finally:
-            dispatch.remove_observer(observer)
-        dispatch.record("markov", dispatch.ENGINE_VECTORIZED)
-        assert seen == [("markov", dispatch.ENGINE_VECTORIZED, 3)]
+            tracing.unsubscribe(sink)
+        _record("markov", dispatch.ENGINE_VECTORIZED)
+        assert seen == [(("markov", dispatch.ENGINE_VECTORIZED), 3)]
 
     def test_notify_merges_worker_counts(self):
+        # A worker cell's record, replayed in the coordinator, reaches
+        # the sinks but not this thread's accumulator.
         seen = []
-        observer = lambda m, e, n: seen.append((m, e, n))
-        dispatch.add_observer(observer)
+        sink = lambda kind, key, amount: seen.append((kind, key, amount))
+        tracing.subscribe(sink)
         try:
-            dispatch.notify({("demand", dispatch.ENGINE_REFERENCE): 5})
+            tracing.replay(
+                {tracing.DISPATCH: {("demand", dispatch.ENGINE_REFERENCE): 5}}
+            )
         finally:
-            dispatch.remove_observer(observer)
-        assert seen == [("demand", dispatch.ENGINE_REFERENCE, 5)]
-        assert dispatch.totals()[("demand", dispatch.ENGINE_REFERENCE)] == 5
+            tracing.unsubscribe(sink)
+        assert seen == [
+            (tracing.DISPATCH, ("demand", dispatch.ENGINE_REFERENCE), 5)
+        ]
+        assert tracing.take() == {}
 
     def test_concurrent_observer_churn_while_recording(self):
-        # Observer registration must be safe against concurrent
-        # mutation: record() snapshots the list under a dedicated lock
-        # (separate from the totals lock, so callbacks never run with
-        # the counter lock held).
+        # Subscriptions must be safe against concurrent mutation while
+        # another thread emits: a registered sink is never skipped.
         stop = threading.Event()
         errors = []
 
         def churn():
-            def observer(mechanism, engine, count):
+            def sink(kind, key, amount):
                 pass
             try:
                 while not stop.is_set():
-                    dispatch.add_observer(observer)
-                    dispatch.remove_observer(observer)
+                    tracing.subscribe(sink)
+                    tracing.unsubscribe(sink)
             except Exception as exc:  # pragma: no cover
                 errors.append(exc)
 
         seen = []
-        keeper = lambda m, e, n: seen.append(n)
-        dispatch.add_observer(keeper)
+        keeper = lambda kind, key, amount: seen.append(amount)
+        tracing.subscribe(keeper)
         threads = [threading.Thread(target=churn) for _ in range(4)]
-        for thread in threads:
-            thread.start()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
         try:
+            for thread in threads:
+                thread.start()
             for _ in range(300):
-                dispatch.record("demand", dispatch.ENGINE_VECTORIZED)
+                _record("demand", dispatch.ENGINE_VECTORIZED)
         finally:
             stop.set()
             for thread in threads:
-                thread.join()
-            dispatch.remove_observer(keeper)
+                thread.join(timeout=10)
+            sys.setswitchinterval(interval)
+            tracing.unsubscribe(keeper)
+        assert not any(thread.is_alive() for thread in threads)
         assert not errors
         assert len(seen) == 300
-        assert (
-            dispatch.totals()[("demand", dispatch.ENGINE_VECTORIZED)] == 300
-        )
+        assert _dispatches()[("demand", dispatch.ENGINE_VECTORIZED)] == 300
 
     def test_observer_may_reenter_counters(self):
-        # Regression guard for the lock split: an observer that reads
-        # the totals back must not deadlock on the counter lock.
-        readback = []
-        observer = lambda m, e, n: readback.append(dict(dispatch.totals()))
-        dispatch.add_observer(observer)
-        try:
-            dispatch.record("demand", dispatch.ENGINE_VECTORIZED)
-        finally:
-            dispatch.remove_observer(observer)
-        assert readback[0][("demand", dispatch.ENGINE_VECTORIZED)] == 1
+        # Sinks run outside the subscription lock: a one-shot sink that
+        # unsubscribes itself from inside the callback must not
+        # deadlock, and stays silent afterwards.
+        seen = []
+
+        def once(kind, key, amount):
+            seen.append(key)
+            tracing.unsubscribe(once)
+
+        tracing.subscribe(once)
+        _record("demand", dispatch.ENGINE_VECTORIZED)
+        _record("demand", dispatch.ENGINE_VECTORIZED)
+        assert seen == [("demand", dispatch.ENGINE_VECTORIZED)]
 
     def test_as_report_nests_by_engine(self):
-        report = dispatch.as_report({
+        report = _nest_dispatch({
             ("demand", dispatch.ENGINE_VECTORIZED): 2,
             ("victim", dispatch.ENGINE_REFERENCE): 1,
         })
@@ -142,7 +169,7 @@ class TestRecordingSite:
         fetch_result(runs, self.CONFIG, "demand", engine="vectorized")
         fetch_result(runs, self.CONFIG, "demand", engine="reference")
         fetch_result(runs, self.CONFIG, "victim", engine="auto")
-        snap = dispatch.snapshot()
+        snap = _dispatches()
         assert snap[("demand", dispatch.ENGINE_VECTORIZED)] == 1
         assert snap[("demand", dispatch.ENGINE_REFERENCE)] == 1
         # Full kernel coverage: auto routes victim to the kernels now.
@@ -151,7 +178,7 @@ class TestRecordingSite:
 
 
 def _dispatching_cell(mechanism: str, engine: str) -> int:
-    dispatch.record(mechanism, engine)
+    _record(mechanism, engine)
     return 1
 
 

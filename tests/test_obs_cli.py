@@ -1,15 +1,18 @@
 """End-to-end tests for ``--obs-dir`` runs and the ``repro obs`` CLI.
 
-One traced experiment run (shared across the class via a module
-fixture) feeds every assertion: manifest shape on disk, summary totals
-agreeing with the ``--timing-out`` report, chrome-trace export, diff,
-and the failure modes on bad input.
+One traced experiment run (shared across the module via a fixture)
+feeds every assertion: manifest shape on disk, summary totals agreeing
+with the ``--timing-out`` report, chrome-trace export, diff, and the
+failure modes on bad input.  The traced-run checks repeat at
+``--jobs 2`` on a multi-cell experiment, where cell spans ship back
+from pool workers and their events are replayed.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 
 import pytest
 
@@ -18,23 +21,23 @@ from repro.obs.manifest import load_manifest
 from repro.runner.timing import TimingReport
 
 
-@pytest.fixture(scope="module")
-def traced_run(tmp_path_factory):
-    """One small traced experiment: its manifest and timing report."""
-    root = tmp_path_factory.mktemp("obs")
+def _traced_run(root, experiment: str, jobs: int) -> dict:
+    """Run one small traced experiment; its manifest and timing report."""
     timing_path = root / "timing.json"
     code = main(
         [
             "--instructions", "20000",
+            "--jobs", str(jobs),
             "--obs-dir", str(root),
             "--timing-out", str(timing_path),
-            "experiment", "table2",
+            "experiment", experiment,
         ]
     )
     assert code == 0
-    manifests = sorted(root.glob("manifest-table2-*.json"))
+    manifests = sorted(root.glob(f"manifest-{experiment}-*.json"))
     assert len(manifests) == 1
     return {
+        "experiment": experiment,
         "dir": root,
         "manifest_path": manifests[0],
         "manifest": load_manifest(manifests[0]),
@@ -42,16 +45,23 @@ def traced_run(tmp_path_factory):
     }
 
 
+@pytest.fixture(scope="module")
+def traced_run(tmp_path_factory):
+    """The single-cell table2, traced in-process."""
+    return _traced_run(tmp_path_factory.mktemp("obs"), "table2", jobs=1)
+
+
 class TestTracedRun:
     def test_manifest_shape(self, traced_run):
         manifest = traced_run["manifest"]
-        assert manifest["label"] == "table2"
+        experiment = traced_run["experiment"]
+        assert manifest["label"] == experiment
         assert len(manifest["trace_id"]) == 32
         assert manifest["extra"]["command"] == "experiment"
         assert manifest["extra"]["settings"]["n_instructions"] == 20000
         assert manifest["provenance"]["generator_version"] >= 2
         names = {span["name"] for span in manifest["spans"]}
-        assert {"table2", "experiment", "cell"} <= names
+        assert {experiment, "experiment", "cell"} <= names
         assert manifest["cells"], "no per-cell rollups"
 
     def test_spans_share_the_trace_id(self, traced_run):
@@ -62,7 +72,7 @@ class TestTracedRun:
 
     def test_summary_matches_timing_report(self, traced_run):
         # The acceptance bar: the span timeline and the --timing-out
-        # report are two views of the same phase observer stream.
+        # report are two views of the same event stream.
         from repro.obs.export import summarize
 
         summary = summarize(traced_run["manifest"])
@@ -72,6 +82,23 @@ class TestTracedRun:
             assert math.isclose(
                 summary["phase_totals"][name], seconds, rel_tol=1e-9
             )
+
+
+class TestTracedPoolRun(TestTracedRun):
+    """The traced-run checks across the pool boundary."""
+
+    @pytest.fixture(scope="class")
+    def traced_run(self, tmp_path_factory):
+        """The multi-cell figure7 at ``--jobs 2``: cells run in workers."""
+        run = _traced_run(
+            tmp_path_factory.mktemp("obs-pool"), "figure7", jobs=2
+        )
+        pids = {
+            span["pid"] for span in run["manifest"]["spans"]
+            if span["name"] == "cell"
+        }
+        assert os.getpid() not in pids, "cells did not run in the pool"
+        return run
 
 
 class TestObsCommands:

@@ -120,7 +120,7 @@ class TestChromeTrace:
         assert root["ts"] == 0.0  # timestamps rebased to the first span
         assert root["dur"] == 4.0e6
         assert root["args"]["trace_id"] == "t" * 32
-        # Bridged annotations become thread-scoped instants.
+        # Emitted events become thread-scoped instants.
         instants = [e for e in events if e["ph"] == "i"]
         assert instants[0]["name"] == "phase"
         assert instants[0]["ts"] == 0.5e6

@@ -1,10 +1,10 @@
 """Unit tests for the span-tracing substrate (``repro.obs.tracing``).
 
-Covers the recorder/span lifecycle, the observer bridges that absorb
-the phase/dispatch/cache event streams, suppression around pool
-replays, worker-side cell capture, and re-parenting of shipped spans
-— including the end-to-end ``run_cells(jobs=2)`` path across a real
-process pool.
+Covers the recorder/span lifecycle, the span side of the event stream
+(phase, dispatch and trace-cache events attributed to the innermost
+span), replay of worker records to sinks only, worker-side cell
+capture, and re-parenting of shipped spans — including the end-to-end
+``run_cells(jobs=2)`` path across a real process pool.
 """
 
 from __future__ import annotations
@@ -22,11 +22,9 @@ from repro.runner.pool import run_cells
 
 @pytest.fixture(autouse=True)
 def _clean_state():
-    timing.reset()
-    dispatch.reset()
+    tracing.take()
     yield
-    timing.reset()
-    dispatch.reset()
+    tracing.take()
     tracing.enable_worker_capture(False)
 
 
@@ -104,6 +102,8 @@ class TestSpanLifecycle:
 
 
 class TestBridges:
+    """The span side of :func:`tracing.emit` and :func:`tracing.replay`."""
+
     def test_phase_bridge_attaches_to_innermost_span(self):
         with tracing.run("demo") as recorder:
             with tracing.span("inner"):
@@ -114,37 +114,59 @@ class TestBridges:
         assert "simulate" not in by_name["demo"]["phases"]
 
     def test_dispatch_bridge_aggregates_counts(self):
+        key = ("demand", dispatch.ENGINE_VECTORIZED)
         with tracing.run("demo") as recorder:
-            dispatch.record("demand", dispatch.ENGINE_VECTORIZED, count=2)
-            dispatch.record("demand", dispatch.ENGINE_VECTORIZED)
+            tracing.emit(tracing.DISPATCH, key, 2)
+            tracing.emit(tracing.DISPATCH, key)
         root = recorder.spans[0]
         assert root["engine_dispatch"] == {
             dispatch.ENGINE_VECTORIZED: {"demand": 3}
         }
+        assert root["events"][0]["attrs"] == {
+            "mechanism": "demand", "engine": "vectorized", "count": 2
+        }
 
     def test_trace_cache_bridge_counts_outcomes(self):
-        from repro.workloads import registry
-
         with tracing.run("demo") as recorder:
-            registry._notify_cache("memory-hit")
-            registry._notify_cache("memory-hit")
-            registry._notify_cache("synthesized")
+            tracing.emit(tracing.TRACE_CACHE, "memory-hit")
+            tracing.emit(tracing.TRACE_CACHE, "memory-hit")
+            tracing.emit(tracing.TRACE_CACHE, "synthesized")
         root = recorder.spans[0]
         assert root["trace_cache"] == {"memory-hit": 2, "synthesized": 1}
 
-    def test_suppressed_blocks_bridges(self):
-        with tracing.run("demo") as recorder:
-            with tracing.suppressed():
-                timing.notify_phases({"simulate": 1.0})
-                dispatch.notify({("demand", "vectorized"): 4})
+    def test_replay_skips_spans(self):
+        # A replayed worker record reaches the sinks only: the shipped
+        # worker spans already carry it, so spans must not count it
+        # twice (nor may it leak into this thread's accumulator).
+        seen = []
+        sink = lambda kind, key, amount: seen.append((kind, key, amount))
+        tracing.subscribe(sink)
+        try:
+            with tracing.run("demo") as recorder:
+                tracing.replay({
+                    tracing.PHASE: {"simulate": 1.0},
+                    tracing.DISPATCH: {("demand", "vectorized"): 4},
+                    tracing.TRACE_CACHE: {"memory-hit": 2},
+                })
+        finally:
+            tracing.unsubscribe(sink)
         root = recorder.spans[0]
         assert root["phases"] == {}
         assert root["engine_dispatch"] == {}
+        assert root["trace_cache"] == {}
+        assert tracing.take() == {}
+        assert sorted(seen) == [
+            (tracing.DISPATCH, ("demand", "vectorized"), 4),
+            (tracing.PHASE, "simulate", 1.0),
+            (tracing.TRACE_CACHE, "memory-hit", 2),
+        ]
 
     def test_bridges_silent_without_recorder(self):
-        # No recorder bound: the bridged streams must not explode.
-        timing.notify_phases({"simulate": 1.0})
-        dispatch.notify({("demand", "vectorized"): 1})
+        # No recorder bound: emitting and replaying must not explode.
+        tracing.emit(tracing.PHASE, "simulate", 1.0)
+        tracing.emit(tracing.DISPATCH, ("demand", "vectorized"))
+        tracing.replay({tracing.DISPATCH: {("demand", "vectorized"): 1}})
+        assert tracing.current_span() is None
 
 
 class TestAdoption:
@@ -204,7 +226,8 @@ class TestCellCapture:
 def _traced_cell(tag: str) -> str:
     with timing.phase("simulate"):
         time.sleep(0.002)
-    dispatch.record("demand", dispatch.ENGINE_VECTORIZED)
+    tracing.emit(tracing.DISPATCH, ("demand", dispatch.ENGINE_VECTORIZED))
+    tracing.emit(tracing.TRACE_CACHE, "memory-hit")
     return tag
 
 
@@ -232,6 +255,34 @@ class TestPoolIntegration:
             assert cell["engine_dispatch"] == {
                 dispatch.ENGINE_VECTORIZED: {"demand": 1}
             }
+            assert cell["trace_cache"] == {"memory-hit": 1}
+
+    def test_jobs2_replays_every_kind_to_sinks(self):
+        # Worker events reach the coordinator's sinks exactly once per
+        # cell -- all three kinds -- while the spans count them once.
+        cells = [
+            PlanCell(key=("cell", i), fn=_traced_cell, args=(f"r{i}",))
+            for i in range(3)
+        ]
+        seen = []
+        sink = lambda kind, key, amount: seen.append((kind, amount))
+        tracing.subscribe(sink)
+        try:
+            with tracing.run("pool-run") as recorder:
+                run_cells(cells, jobs=2)
+        finally:
+            tracing.unsubscribe(sink)
+        by_kind = {}
+        for kind, amount in seen:
+            by_kind[kind] = by_kind.get(kind, 0) + amount
+        assert by_kind[tracing.DISPATCH] == 3
+        assert by_kind[tracing.TRACE_CACHE] == 3
+        assert by_kind[tracing.PHASE] > 0.0
+        span_lookups = sum(
+            span["trace_cache"].get("memory-hit", 0)
+            for span in recorder.spans
+        )
+        assert span_lookups == 3
 
     def test_serial_run_traces_cells_live(self):
         cells = [

@@ -30,9 +30,7 @@ from repro.experiments.common import ExperimentSettings, fetch_point
 from repro.plan import inputs as plan_inputs
 from repro.plan.compile import compile_module, compile_report
 from repro.plan.executor import (
-    add_plan_observer,
     execute_cells,
-    remove_plan_observer,
     run_experiment,
     run_report,
 )
@@ -263,24 +261,6 @@ class TestExecuteCells:
         ]
         execute_cells(cells, jobs=1, label="unit")
         assert order_cache_stats()["max_entries"] == before
-
-    def test_observer_add_remove(self):
-        seen = []
-        add_plan_observer(seen.append)
-        try:
-            execute_cells(
-                [PlanCell(key=("o",), fn=_double, args=(1,))],
-                jobs=1, label="observed",
-            )
-        finally:
-            remove_plan_observer(seen.append)
-        assert len(seen) == 1
-        assert seen[0]["label"] == "observed"
-        assert seen[0]["cells_total"] == 1
-        execute_cells(
-            [PlanCell(key=("o",), fn=_double, args=(1,))], jobs=1
-        )
-        assert len(seen) == 1  # removed observers stay silent
 
 
 class TestGoldenEquivalence:

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.obs import tracing
 from repro.runner.cache import (
     TraceDiskCache,
     cache_from_environment,
@@ -255,7 +256,10 @@ class TestRegistryIntegration:
     def test_cache_observer_sees_each_outcome(self, tmp_path):
         """One synthesis, one memory hit, one disk hit — in that order."""
         events = []
-        registry.add_trace_cache_observer(events.append)
+        sink = lambda kind, key, amount: (
+            events.append(key) if kind == tracing.TRACE_CACHE else None
+        )
+        tracing.subscribe(sink)
         try:
             set_trace_cache_backend(TraceDiskCache(tmp_path))
             clear_trace_cache()
@@ -264,7 +268,7 @@ class TestRegistryIntegration:
             clear_trace_cache()
             get_trace("gcc", "mach3", N, seed=SEED)
         finally:
-            registry.remove_trace_cache_observer(events.append)
+            tracing.unsubscribe(sink)
         assert events == [
             registry.TRACE_CACHE_SYNTHESIZED,
             registry.TRACE_CACHE_MEMORY_HIT,

@@ -1,4 +1,9 @@
-"""Unit tests for the runner's phase-timing accounting."""
+"""Unit tests for the runner's phase-timing accounting.
+
+Phases are ``"phase"`` events on the :mod:`repro.obs.tracing` stream;
+these tests read them back from the per-thread accumulator with
+:func:`~repro.obs.tracing.take`.
+"""
 
 import json
 import threading
@@ -6,29 +11,35 @@ import time
 
 import pytest
 
+from repro.obs import tracing
 from repro.runner import timing
 from repro.runner.timing import CellTiming, TimingReport
 
 
 @pytest.fixture(autouse=True)
 def _fresh_accumulator():
-    timing.reset()
+    tracing.take()
     yield
-    timing.reset()
+    tracing.take()
+
+
+def _phases() -> dict[str, float]:
+    """The phase seconds accumulated on this thread (drains it)."""
+    return tracing.take().get(tracing.PHASE, {})
 
 
 class TestPhase:
     def test_accumulates(self):
         with timing.phase("simulate"):
             time.sleep(0.01)
-        phases = timing.snapshot()
+        phases = _phases()
         assert phases["simulate"] >= 0.005
 
     def test_nesting_charges_innermost(self):
         with timing.phase("simulate"):
             with timing.phase("line-runs"):
                 time.sleep(0.02)
-        phases = timing.snapshot()
+        phases = _phases()
         # The sleep is charged to the inner phase, not double-counted.
         assert phases["line-runs"] >= 0.01
         assert phases["simulate"] < phases["line-runs"]
@@ -37,21 +48,21 @@ class TestPhase:
         with timing.phase("simulate"):
             with timing.phase("simulate"):
                 time.sleep(0.01)
-        phases = timing.snapshot()
+        phases = _phases()
         assert 0.005 <= phases["simulate"] < 0.05
 
     def test_snapshot_reset(self):
         with timing.phase("synthesize"):
             pass
-        first = timing.snapshot(reset=True)
-        assert "synthesize" in first
-        assert timing.snapshot() == {}
+        first = tracing.take()
+        assert "synthesize" in first[tracing.PHASE]
+        assert tracing.take() == {}
 
     def test_exception_still_recorded(self):
         with pytest.raises(RuntimeError):
             with timing.phase("simulate"):
                 raise RuntimeError("boom")
-        assert "simulate" in timing.snapshot()
+        assert "simulate" in _phases()
 
 
 class TestReport:
@@ -134,35 +145,35 @@ class TestReportRoundTrip:
 
 class TestObserverThreadSafety:
     def test_concurrent_add_remove_while_notifying(self):
-        # Mutating the observer list from one thread while another
-        # notifies must neither skip-fire nor raise (the list is
-        # snapshotted under a lock before fan-out).
+        # Subscribing/unsubscribing from other threads while one thread
+        # replays events must neither skip a registered sink nor raise
+        # (the sink sequence is replaced copy-on-write under a lock).
         stop = threading.Event()
         errors = []
 
         def churn():
-            def observer(name, seconds):
+            def sink(kind, key, amount):
                 pass
             try:
                 while not stop.is_set():
-                    timing.add_phase_observer(observer)
-                    timing.remove_phase_observer(observer)
+                    tracing.subscribe(sink)
+                    tracing.unsubscribe(sink)
             except Exception as exc:  # pragma: no cover
                 errors.append(exc)
 
         seen = []
-        keeper = lambda name, seconds: seen.append(name)
-        timing.add_phase_observer(keeper)
+        keeper = lambda kind, key, amount: seen.append(key)
+        tracing.subscribe(keeper)
         threads = [threading.Thread(target=churn) for _ in range(4)]
         for thread in threads:
             thread.start()
         try:
             for _ in range(300):
-                timing.notify_phases({"simulate": 0.001})
+                tracing.replay({tracing.PHASE: {"simulate": 0.001}})
         finally:
             stop.set()
             for thread in threads:
                 thread.join()
-            timing.remove_phase_observer(keeper)
+            tracing.unsubscribe(keeper)
         assert not errors
         assert len(seen) == 300

@@ -233,3 +233,42 @@ class TestDispatchMetrics:
             "engine_dispatch_total",
             {"mechanism": "victim", "engine": "reference"},
         ) == 0
+
+
+class TestPoolReplayMetrics:
+    def test_jobs2_counts_match_jobs1(self, tmp_path):
+        """Pool workers' events reach /metrics through the pool's replay:
+        the same experiment counts the same trace-cache lookups and
+        engine dispatches at jobs=2 as in-process at jobs=1."""
+        from repro.experiments import figure7
+
+        settings = ExperimentSettings(n_instructions=20_000, seed=3)
+        totals = {}
+        for jobs in (1, 2):
+            scheduler = JobScheduler(
+                ResultStore(tmp_path / f"jobs{jobs}"), ServiceMetrics(),
+                jobs=jobs,
+            )
+
+            async def body():
+                job = await scheduler.submit_experiment(
+                    "figure7", figure7, settings
+                )
+                await job.wait()
+                return job
+
+            try:
+                job = _run(body())
+            finally:
+                scheduler.close()
+            assert job.status == "done"
+            counters = scheduler.metrics.to_dict()["counters"]
+            totals[jobs] = {
+                name: sum(series["value"] for series in counters[name])
+                for name in (
+                    "trace_cache_lookups_total", "engine_dispatch_total"
+                )
+            }
+        assert totals[1]["trace_cache_lookups_total"] > 0
+        assert totals[1]["engine_dispatch_total"] > 0
+        assert totals[2] == totals[1]
