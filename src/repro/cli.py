@@ -49,7 +49,7 @@ from repro import version_info
 from repro.obs import tracing
 from repro.obs.manifest import OBS_DIR_ENV, build_manifest, write_manifest
 from repro.caches.vectorized import order_cache_stats
-from repro.core.config import MemorySystemConfig
+from repro.core.config import CONFIG_NAMES, MemorySystemConfig
 from repro.core.study import ENGINES, MECHANISMS, evaluate
 from repro.experiments import ALL_EXPERIMENTS, EXTENSION_EXPERIMENTS
 from repro.experiments.common import ExperimentSettings
@@ -178,11 +178,8 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    config = (
-        MemorySystemConfig.economy()
-        if args.config == "economy"
-        else MemorySystemConfig.high_performance()
-    )
+    config = MemorySystemConfig.named(args.config)
+
     def body() -> int:
         result = evaluate(
             args.name,
@@ -339,7 +336,6 @@ def _cmd_serve(args) -> int:
             workers=args.workers,
             store_root=store.root,
             jobs=args.jobs,
-            batch_window=args.batch_window,
             max_inflight=args.max_inflight,
             max_queue=max_queue,
             drain_timeout=args.drain_timeout,
@@ -352,7 +348,6 @@ def _cmd_serve(args) -> int:
         port=args.port,
         store=store,
         jobs=args.jobs,
-        batch_window=args.batch_window,
         max_inflight=args.max_inflight,
         max_queue=max_queue,
         drain_timeout=args.drain_timeout,
@@ -362,7 +357,6 @@ def _cmd_serve(args) -> int:
 
 def _cmd_warm(args) -> int:
     from repro.core.study import MECHANISMS as ALL_MECHANISMS
-    from repro.service.scheduler import CONFIGS as ALL_CONFIGS
     from repro.service.store import ResultStore
     from repro.service.warm import warm_plan, warm_store
 
@@ -377,7 +371,7 @@ def _cmd_warm(args) -> int:
         store = ResultStore(None)
     plan = warm_plan(
         suite=args.suite,
-        configs=tuple(args.config or ALL_CONFIGS),
+        configs=tuple(args.config or CONFIG_NAMES),
         mechanisms=tuple(args.mechanism or ALL_MECHANISMS),
         settings=_settings(args),
     )
@@ -602,8 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("evaluate", help="evaluate one workload")
     p_eval.add_argument("name")
     p_eval.add_argument("--os", default="mach3")
-    p_eval.add_argument("--config", choices=["economy", "high-performance"],
-                        default="economy")
+    p_eval.add_argument("--config", choices=CONFIG_NAMES, default="economy")
     p_eval.add_argument("--mechanism", choices=list(MECHANISMS),
                         default="demand")
 
@@ -628,10 +621,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument("--port", type=int, default=8765)
-    p_serve.add_argument(
-        "--batch-window", type=float, default=0.0, metavar="SECONDS",
-        help="how long to hold compatible evaluate requests for batching",
-    )
     p_serve.add_argument(
         "--max-inflight", type=int, default=4, metavar="N",
         help="worker threads executing jobs concurrently",
@@ -676,7 +665,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_warm.add_argument(
         "--config", action="append",
-        choices=["economy", "high-performance"], metavar="NAME",
+        choices=CONFIG_NAMES, metavar="NAME",
         help="configuration(s) to warm (repeatable; default: both)",
     )
     p_warm.add_argument(

@@ -12,6 +12,10 @@ The two baselines of Table 5 are provided as constructors:
   memory (30-cycle latency, 4 bytes/cycle).
 * :meth:`MemorySystemConfig.high_performance` — L1 backed by an ideal
   off-chip cache (12-cycle latency, 8 bytes/cycle).
+
+:meth:`MemorySystemConfig.named` looks either up by its name in
+:data:`CONFIG_NAMES`, the one list the experiments, the CLI and the
+server accept.
 """
 
 from __future__ import annotations
@@ -28,6 +32,9 @@ from repro.fetch.timing import (
 
 #: The paper's baseline L1: 8 KB, direct-mapped, 32-byte lines.
 BASELINE_L1 = CacheGeometry(size_bytes=8192, line_size=32, associativity=1)
+
+#: Names of the two Table 5 baselines, in the paper's order.
+CONFIG_NAMES = ("economy", "high-performance")
 
 
 @dataclass(frozen=True)
@@ -86,6 +93,18 @@ class MemorySystemConfig:
         """Table 5's high-performance baseline: ideal off-chip cache."""
         return MemorySystemConfig(
             name="high-performance", l1=l1, memory=HIGH_PERF_MEMORY
+        )
+
+    @staticmethod
+    def named(name: str) -> "MemorySystemConfig":
+        """The Table 5 baseline called ``name`` (one of
+        :data:`CONFIG_NAMES`)."""
+        if name == "economy":
+            return MemorySystemConfig.economy()
+        if name == "high-performance":
+            return MemorySystemConfig.high_performance()
+        raise ValueError(
+            f"unknown config {name!r}; expected one of {CONFIG_NAMES}"
         )
 
     # -- derivation --------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from repro._util.fmt import format_table
 from repro.caches.base import CacheGeometry
-from repro.core.config import MemorySystemConfig
+from repro.core.config import CONFIG_NAMES, MemorySystemConfig
 from repro.experiments.common import (
     DEFAULT_SETTINGS,
     ExperimentSettings,
@@ -28,7 +28,6 @@ from repro.plan.ir import PlanCell
 
 L2_SIZES = tuple(1024 * k for k in (16, 32, 64, 128, 256))
 L2_LINE_SIZES = (16, 32, 64, 128, 256)
-CONFIG_NAMES = ("economy", "high-performance")
 SUITE = "ibs-mach3"
 
 #: Paper reference points (read off the plot): baseline CPIinstr of
@@ -84,12 +83,6 @@ class Figure3Result:
         return size, line, value
 
 
-def _base_config(config_name: str) -> MemorySystemConfig:
-    if config_name == "economy":
-        return MemorySystemConfig.economy()
-    return MemorySystemConfig.high_performance()
-
-
 def _evaluate_point(
     config_name: str,
     size: int,
@@ -98,7 +91,7 @@ def _evaluate_point(
     settings: ExperimentSettings,
 ) -> tuple[float, float]:
     """One cell: suite-mean (L1, L2) CPIinstr at one L2 design point."""
-    config = _base_config(config_name).with_l2(
+    config = MemorySystemConfig.named(config_name).with_l2(
         CacheGeometry(size, line_size, 1)
     )
     return suite_cpi_instr(suite, config, "demand", settings)
@@ -127,7 +120,7 @@ def plan_cells(
     cell_list = []
     for point in _enumerate_points(l2_sizes, l2_line_sizes):
         config_name, size, line_size = point
-        config = _base_config(config_name).with_l2(
+        config = MemorySystemConfig.named(config_name).with_l2(
             CacheGeometry(size, line_size, 1)
         )
         cell_list.append(

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from repro._util.fmt import format_series
 from repro.caches.base import CacheGeometry
-from repro.core.config import MemorySystemConfig
+from repro.core.config import CONFIG_NAMES, MemorySystemConfig
 from repro.experiments.common import (
     DEFAULT_SETTINGS,
     ExperimentSettings,
@@ -28,7 +28,6 @@ from repro.plan.ir import PlanCell
 ASSOCIATIVITIES = (1, 2, 4, 8)
 L2_SIZE = 64 * 1024
 L2_LINE = 64
-CONFIG_NAMES = ("economy", "high-performance")
 SUITE = "ibs-mach3"
 
 
@@ -66,10 +65,7 @@ def _point_config(
     config_name: str, ways: int, associative_lookup_penalty: bool
 ) -> MemorySystemConfig:
     """The memory system of one (configuration, associativity) point."""
-    if config_name == "economy":
-        base = MemorySystemConfig.economy()
-    else:
-        base = MemorySystemConfig.high_performance()
+    base = MemorySystemConfig.named(config_name)
     interface = L1_L2_INTERFACE
     if associative_lookup_penalty and ways > 1:
         interface = MemoryTiming(

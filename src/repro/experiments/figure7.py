@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from repro._util.fmt import format_table
 from repro.caches.base import CacheGeometry
-from repro.core.config import MemorySystemConfig
+from repro.core.config import CONFIG_NAMES, MemorySystemConfig
 from repro.experiments.common import (
     DEFAULT_SETTINGS,
     ExperimentSettings,
@@ -39,7 +39,6 @@ STEPS = (
     "pipelining",
 )
 
-CONFIG_NAMES = ("economy", "high-performance")
 SUITE = "ibs-mach3"
 
 #: The optimized on-chip L2 arrived at in Figures 3-4.
@@ -81,12 +80,6 @@ class Figure7Result:
         return l1 + l2
 
 
-def _base_config(config_name: str) -> MemorySystemConfig:
-    if config_name == "economy":
-        return MemorySystemConfig.economy()
-    return MemorySystemConfig.high_performance()
-
-
 def _step_points(config_name: str) -> list[FetchPoint]:
     """The six cumulative-optimization points of one configuration.
 
@@ -94,7 +87,7 @@ def _step_points(config_name: str) -> list[FetchPoint]:
     ladder goes through the planner the per-workload miss masks are
     computed once and shared across all six steps.
     """
-    base = _base_config(config_name)
+    base = MemorySystemConfig.named(config_name)
     # Step 2: add the 8-way on-chip L2 (16 B/cyc interface).
     with_l2 = base.with_l2(L2_GEOMETRY)
     # Step 3: double the L1-L2 bandwidth to 32 B/cyc.

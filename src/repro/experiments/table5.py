@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro._util.fmt import format_table
-from repro.core.config import MemorySystemConfig
+from repro.core.config import CONFIG_NAMES, MemorySystemConfig
 from repro.experiments.common import (
     DEFAULT_SETTINGS,
     ExperimentSettings,
@@ -64,21 +64,16 @@ class Table5Result:
         )
 
 
-_CONFIG_NAMES = ("economy", "high-performance")
 _SUITES = ("spec92", "ibs-mach3")
-
-
-def _config(config_name: str) -> MemorySystemConfig:
-    if config_name == "economy":
-        return MemorySystemConfig.economy()
-    return MemorySystemConfig.high_performance()
 
 
 def _evaluate_cell(
     config_name: str, suite: str, settings: ExperimentSettings
 ) -> float:
     """One cell: suite-mean total CPIinstr of one baseline."""
-    l1, l2 = suite_cpi_instr(suite, _config(config_name), "demand", settings)
+    l1, l2 = suite_cpi_instr(
+        suite, MemorySystemConfig.named(config_name), "demand", settings
+    )
     return l1 + l2
 
 
@@ -94,13 +89,15 @@ def plan_cells(settings: ExperimentSettings = DEFAULT_SETTINGS) -> list[PlanCell
             masks=plan_inputs.mask_families(
                 [
                     fetch_point(
-                        (config_name, suite), _config(config_name), "demand"
+                        (config_name, suite),
+                        MemorySystemConfig.named(config_name),
+                        "demand",
                     )
                 ],
                 settings.engine,
             ),
         )
-        for config_name in _CONFIG_NAMES
+        for config_name in CONFIG_NAMES
         for suite in _SUITES
     ]
 
@@ -109,7 +106,7 @@ def merge(settings: ExperimentSettings, results: list[float]) -> Table5Result:
     """Zip cell results back into the table layout."""
     keys = [
         (config_name, suite)
-        for config_name in _CONFIG_NAMES
+        for config_name in CONFIG_NAMES
         for suite in _SUITES
     ]
     return Table5Result(cells=dict(zip(keys, results)))

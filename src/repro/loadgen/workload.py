@@ -28,6 +28,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from repro.core.config import CONFIG_NAMES
 from repro.core.study import MECHANISMS
 from repro.workloads.registry import list_workloads
 
@@ -39,10 +40,8 @@ __all__ = [
     "grid_population",
 ]
 
-#: Named memory-system configurations in the evaluate grid (mirrors
-#: :data:`repro.service.scheduler.CONFIGS` without importing the
-#: service layer into the client).
-GRID_CONFIGS = ("economy", "high-performance")
+#: Named memory-system configurations in the evaluate grid.
+GRID_CONFIGS = CONFIG_NAMES
 
 #: Popularity skews the engine understands.
 SKEWS = ("zipf", "uniform")

@@ -426,3 +426,16 @@ def unsubscribe(sink) -> None:
     global _sinks
     with _sinks_lock:
         _sinks = tuple(other for other in _sinks if other != sink)
+
+
+def drop_inherited_sinks() -> None:
+    """Start a freshly forked process with no sinks.
+
+    A forked pool worker inherits its parent's sinks, but its events
+    reach them through the parent's :func:`replay`; calling them in the
+    worker too would update copies that die with it.  The lock is
+    replaced, not taken: a parent thread may have held it at fork time.
+    """
+    global _sinks, _sinks_lock
+    _sinks = ()
+    _sinks_lock = threading.Lock()

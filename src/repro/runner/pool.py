@@ -128,7 +128,8 @@ def _registry_snapshot() -> dict:
 
 
 def _worker_init(config: dict) -> None:
-    """Apply the parent's cache configuration in a worker process."""
+    """Apply the parent's cache configuration in a worker process,
+    which starts with no event sinks."""
     from repro.runner.cache import TraceDiskCache
     from repro.workloads import registry
 
@@ -142,6 +143,8 @@ def _worker_init(config: dict) -> None:
     # When the coordinating run is traced, cells capture spans locally
     # and ship them back for re-parenting under the run's trace id.
     tracing.enable_worker_capture(config.get("obs_capture", False))
+    # The parent's sinks see this worker's events through replay.
+    tracing.drop_inherited_sinks()
 
 
 def _pool_context():

@@ -5,9 +5,16 @@ HTTP/JSON service.  Request flow::
 
     client ──HTTP──▶ ServiceApp ──▶ JobScheduler ──▶ runner.pool
                         │               │
-                        │               ├── single-flight coalescing
+                        │               ├── submit: coalesce, store check, admit
+                        │               ├── execute: each batch as one traced run
+                        │               ├── settle: results to jobs and store
                         │               └── ResultStore (content-addressed)
                         └── ServiceMetrics (/metrics, /healthz)
+
+Both job kinds share that one lifecycle (see
+:mod:`repro.service.scheduler`): an experiment is a batch of one, and
+the evaluate requests of one event-loop iteration that share traces
+are one batch.
 
 Endpoints:
 
@@ -32,6 +39,13 @@ ports and merges (``?scope=local`` asks for just the one process).
 Every response carries an ``X-Repro-Worker: <index>`` header so a
 client — the loadgen driver in particular — can attribute a latency
 sample to the worker that served it.
+
+:func:`run_service` is the one blocking entry point: single-process
+``repro serve`` calls it directly, and each supervised worker calls it
+after the fork with the shared socket and its fleet identity.  The
+single-process server is deliberately not a one-worker supervisor: it
+stays the process its launcher started, so that process's own CPU time
+and RSS are the server's.
 """
 
 from __future__ import annotations
@@ -42,6 +56,7 @@ import time
 from http import HTTPStatus
 
 from repro import package_version
+from repro.core.config import CONFIG_NAMES
 from repro.core.study import ENGINES, MECHANISMS
 from repro.experiments import ALL_EXPERIMENTS, EXTENSION_EXPERIMENTS
 from repro.experiments.common import ExperimentSettings
@@ -55,7 +70,6 @@ from repro.service.http import (
 )
 from repro.service.metrics import ServiceMetrics
 from repro.service.scheduler import (
-    CONFIGS,
     AdmissionError,
     EvaluateRequest,
     JobScheduler,
@@ -97,7 +111,6 @@ class ServiceApp:
         metrics: ServiceMetrics | None = None,
         scheduler: JobScheduler | None = None,
         jobs: int = 1,
-        batch_window: float = 0.0,
         max_inflight: int = 4,
         max_queue: int | None = None,
         obs_dir: str | None = None,
@@ -116,9 +129,8 @@ class ServiceApp:
         self.metrics = metrics or ServiceMetrics()
         self.store = store if store is not None else ResultStore(None)
         self.scheduler = scheduler or JobScheduler(
-            self.store, self.metrics, jobs=jobs, batch_window=batch_window,
-            max_inflight=max_inflight, max_queue=max_queue, obs_dir=obs_dir,
-            worker=self.worker.to_dict(),
+            self.store, self.metrics, jobs=jobs, max_inflight=max_inflight,
+            max_queue=max_queue, obs_dir=obs_dir, worker=self.worker.to_dict(),
         )
         self.started_at = time.time()
         #: Open client transports (writer -> mid-request flag), so
@@ -459,10 +471,11 @@ class ServiceApp:
             get_workload(workload, os_name)
         except KeyError as exc:
             raise HttpError(HTTPStatus.BAD_REQUEST, str(exc)) from exc
-        if config_name not in CONFIGS:
+        if config_name not in CONFIG_NAMES:
             raise HttpError(
                 HTTPStatus.BAD_REQUEST,
-                f"unknown config {config_name!r}; expected one of {CONFIGS}",
+                f"unknown config {config_name!r}; expected one of "
+                f"{CONFIG_NAMES}",
             )
         if mechanism not in MECHANISMS:
             raise HttpError(
@@ -631,65 +644,37 @@ def run_service(
     port: int = DEFAULT_PORT,
     store: ResultStore | None = None,
     jobs: int = 1,
-    batch_window: float = 0.0,
     max_inflight: int = 4,
     max_queue: int | None = None,
     drain_timeout: float = 30.0,
     obs_dir: str | None = None,
+    sock=None,
+    identity: WorkerIdentity | None = None,
+    registry_dir: str | None = None,
 ) -> int:
-    """Blocking entry point behind single-process ``repro serve``."""
-    app = ServiceApp(
-        store=store, jobs=jobs, batch_window=batch_window,
-        max_inflight=max_inflight, max_queue=max_queue, obs_dir=obs_dir,
-    )
-    try:
-        asyncio.run(_serve_forever(app, host, port, drain_timeout))
-    except KeyboardInterrupt:
-        print("repro serve: shutting down")
-    finally:
-        app.close()
-    return 0
+    """Blocking entry point of one serving process.
 
-
-def run_worker(
-    *,
-    sock,
-    identity: WorkerIdentity,
-    registry_dir: str,
-    store_root: str | None,
-    jobs: int = 1,
-    batch_window: float = 0.0,
-    max_inflight: int = 4,
-    max_queue: int | None = None,
-    drain_timeout: float = 30.0,
-    obs_dir: str | None = None,
-) -> int:
-    """Blocking entry point of one supervised worker process.
-
-    Runs post-fork: builds its own :class:`ResultStore` over the shared
-    ``store_root`` (the cross-process flock/adopt-on-miss contract from
-    PR 7 is what makes N of these safe over one root) and serves the
-    shared listening socket until the supervisor's SIGTERM.
+    Single-process ``repro serve`` calls it with ``host``/``port``.  A
+    supervised worker calls it post-fork with the shared listening
+    ``sock``, its fleet ``identity``, the fleet's ``registry_dir`` and
+    a :class:`ResultStore` it built over the shared root after the
+    fork (the cross-process flock/adopt-on-miss contract is what makes
+    N of these safe over one root); it serves until the supervisor's
+    SIGTERM.
     """
-    store = ResultStore(store_root)
     app = ServiceApp(
         store=store,
         jobs=jobs,
-        batch_window=batch_window,
         max_inflight=max_inflight,
         max_queue=max_queue,
         obs_dir=obs_dir,
         worker=identity,
-        registry=WorkerRegistry(registry_dir),
+        registry=WorkerRegistry(registry_dir) if registry_dir else None,
     )
     try:
-        asyncio.run(
-            _serve_forever(
-                app, DEFAULT_HOST, DEFAULT_PORT, drain_timeout, sock=sock
-            )
-        )
-    except KeyboardInterrupt:  # pragma: no cover - supervisor sends TERM
-        print(f"repro serve: worker {identity.index} interrupted")
+        asyncio.run(_serve_forever(app, host, port, drain_timeout, sock=sock))
+    except KeyboardInterrupt:
+        print("repro serve: shutting down")
     finally:
         app.close()
     return 0

@@ -228,10 +228,6 @@ class ServiceMetrics:
                 },
             }
 
-    def to_multi_dict(self, worker: str) -> dict:
-        """This registry as a one-worker fleet snapshot (see below)."""
-        return {"workers": {worker: self.to_dict()}}
-
     def render_prometheus(self) -> str:
         """The Prometheus text exposition of every metric."""
         lines: list[str] = []

@@ -1,26 +1,33 @@
 """Job scheduling for the simulation server.
 
-Three responsibilities sit between the HTTP layer and the compute layer
-(:mod:`repro.runner.pool`):
+Every job, whatever its kind, runs through one lifecycle between the
+HTTP layer and the compute layer (:mod:`repro.plan.executor`):
 
-* **Single-flight coalescing** — identical requests (same canonical
-  content key) arriving while a job is in flight attach to the existing
-  job instead of re-running it; both callers get the same result and
-  the experiment executes exactly once.
-* **Batching** — compatible ``evaluate`` requests (same OS/trace-length/
-  seed signature, i.e. same synthesized traces) arriving within one
-  batch window compile into one sweep plan (see
-  :func:`evaluate_group_cells`) executed by
-  :func:`repro.plan.executor.execute_cells`, so a burst of point
-  queries shares trace synthesis, primed miss masks, and the process
-  pool.
-* **Non-blocking dispatch** — simulation work runs on a small thread
-  pool (which itself fans out over the process pool when ``jobs > 1``),
-  keeping the asyncio event loop free to accept and answer requests.
+* **Submit** — :meth:`JobScheduler._submit`: identical requests (same
+  canonical content key) arriving while a job is in flight attach to
+  the existing job instead of re-running it (single-flight
+  coalescing); a key already in the content-addressed
+  :class:`~repro.service.store.ResultStore` completes at once as a
+  recorded hit; anything else passes admission control and is marked
+  in flight.
+* **Execute** — :meth:`JobScheduler._execute_eval_batch` runs one
+  :class:`_Batch` of jobs on a small thread pool (which itself fans
+  out over the process pool when ``jobs > 1``), so the asyncio event
+  loop stays free to accept and answer requests.  The batch's work is
+  traced end to end and written to a run manifest.
+* **Settle** — :meth:`JobScheduler._settle` fans the results back to
+  their jobs, writes the store, and handles failure, cancellation and
+  the ``job_finished`` log line.
 
-Completed results are written to the content-addressed
-:class:`~repro.service.store.ResultStore`; a request whose key is
-already stored completes immediately as a recorded hit.
+An experiment submission is a batch of one whose work is
+:func:`~repro.plan.executor.run_experiment`.  Compatible ``evaluate``
+requests (same OS/trace-length/seed signature, i.e. same synthesized
+traces) that arrive in the same event-loop iteration form one pending
+batch, flushed on the next iteration: it compiles into one sweep plan
+(see :func:`evaluate_group_cells`) executed by
+:func:`~repro.plan.executor.execute_cells`, so a burst of point
+queries shares trace synthesis, primed miss masks, and the process
+pool.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ import itertools
 import threading
 import time
 import uuid
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -47,6 +55,7 @@ from repro.obs.manifest import build_manifest, write_manifest
 from repro.plan import inputs as plan_inputs
 from repro.plan.executor import execute_cells, run_experiment
 from repro.plan.ir import PlanCell
+from repro.runner.timing import TimingReport
 
 #: Job lifecycle states.
 PENDING = "pending"
@@ -54,9 +63,6 @@ RUNNING = "running"
 DONE = "done"
 FAILED = "failed"
 CANCELLED = "cancelled"
-
-#: Named memory-system configurations accepted by evaluate requests.
-CONFIGS = ("economy", "high-performance")
 
 #: Admission states reported on ``/healthz``.
 ACCEPTING = "accepting"
@@ -76,16 +82,6 @@ class AdmissionError(Exception):
     def __init__(self, message: str, retry_after: int = 1):
         super().__init__(message)
         self.retry_after = retry_after
-
-
-def _named_config(config_name: str) -> MemorySystemConfig:
-    if config_name == "economy":
-        return MemorySystemConfig.economy()
-    if config_name == "high-performance":
-        return MemorySystemConfig.high_performance()
-    raise ValueError(
-        f"unknown config {config_name!r}; expected one of {CONFIGS}"
-    )
 
 
 @dataclass(frozen=True)
@@ -164,34 +160,38 @@ class Job:
     def finished(self) -> bool:
         return self.status in (DONE, FAILED, CANCELLED)
 
+    # The three terminal transitions return whether this call made it:
+    # the first verdict stands (a drain's 'cancelled' survives a late
+    # completion), and only the call that made it logs the job.
+
     def _complete(
         self, result: dict, rendering: str | None, source: str
-    ) -> None:
+    ) -> bool:
         if self.finished:
-            return  # a drain already cancelled this job; keep that verdict
+            return False
         self.result = result
         self.rendering = rendering
         self.source = source
-        self.status = DONE
-        self.finished_at = time.time()
-        self._event.set()
+        return self._finish(DONE)
 
-    def _fail(self, error: str) -> None:
+    def _fail(self, error: str) -> bool:
         if self.finished:
-            return
+            return False
         self.error = error
-        self.status = FAILED
-        self.finished_at = time.time()
-        self._event.set()
+        return self._finish(FAILED)
 
-    def _cancel(self) -> None:
+    def _cancel(self) -> bool:
         """Terminal 'cancelled' state: shutdown arrived before the work."""
         if self.finished:
-            return
+            return False
         self.error = "cancelled by server shutdown"
-        self.status = CANCELLED
+        return self._finish(CANCELLED)
+
+    def _finish(self, status: str) -> bool:
+        self.status = status
         self.finished_at = time.time()
         self._event.set()
+        return True
 
     def to_dict(self, include_result: bool = True) -> dict:
         record = {
@@ -236,7 +236,7 @@ def _evaluate_group_cell(
     for config_name, mechanism in points:
         result = evaluate_trace(
             trace,
-            _named_config(config_name),
+            MemorySystemConfig.named(config_name),
             mechanism=mechanism,
             warmup_fraction=warmup_fraction,
             engine=engine,
@@ -290,7 +290,7 @@ def evaluate_group_cells(
         points = [
             fetch_point(
                 (requests[i].config_name, requests[i].mechanism),
-                _named_config(requests[i].config_name),
+                MemorySystemConfig.named(requests[i].config_name),
                 requests[i].mechanism,
             )
             for i in indices
@@ -321,6 +321,25 @@ def evaluate_group_cells(
     return groups, cells
 
 
+@dataclass
+class _Batch:
+    """One unit of executor work and the jobs it settles.
+
+    ``work()`` runs on an executor thread inside the batch's traced run
+    and returns ``(results, TimingReport)``, one result per job in
+    ``jobs`` order; ``finish(result, report)`` turns a job's result
+    into its ``(payload, rendering)``.
+    """
+
+    kind: str
+    label: str
+    jobs: list[Job]
+    work: Callable[[], tuple[list, TimingReport]]
+    finish: Callable[[object, TimingReport], tuple[dict, str | None]]
+    run_attrs: dict
+    manifest_extra: dict
+
+
 class JobScheduler:
     """Coalescing, batching dispatcher onto the pool runner."""
 
@@ -330,7 +349,6 @@ class JobScheduler:
         metrics,
         *,
         jobs: int = 1,
-        batch_window: float = 0.0,
         max_inflight: int = 4,
         max_queue: int | None = None,
         max_finished_jobs: int = 1024,
@@ -340,7 +358,6 @@ class JobScheduler:
         self.store = store
         self.metrics = metrics
         self.jobs = jobs
-        self.batch_window = batch_window
         self.obs_dir = obs_dir
         #: Serving-process identity (pid, worker index, worker count),
         #: stamped into every job manifest so a loadgen trace can
@@ -374,6 +391,7 @@ class JobScheduler:
         self._inflight: dict[str, Job] = {}
         self._jobs: dict[str, Job] = {}
         self._pending_eval: dict[tuple, list[tuple[EvaluateRequest, Job]]] = {}
+        self._settling: set[asyncio.Task] = set()
         self._max_finished_jobs = max_finished_jobs
         # Live measurement feed: every event of the process (and the
         # pool's replay of worker cells) lands in /metrics as it
@@ -420,8 +438,8 @@ class JobScheduler:
         """Stop admitting, flush batches, and settle every in-flight job.
 
         New submissions shed with 503-style :class:`AdmissionError`
-        immediately.  Pending evaluate batch windows flush now rather
-        than at their timers.  Jobs still unfinished after ``timeout``
+        immediately.  Pending evaluate batches flush now rather than on
+        the next loop iteration.  Jobs still unfinished after ``timeout``
         seconds are marked ``cancelled`` (their executor futures are
         cancelled where still queued; a body already on a thread runs to
         completion but its result is discarded by the terminal-state
@@ -429,7 +447,7 @@ class JobScheduler:
         """
         self._draining = True
         for signature in list(self._pending_eval):
-            self._schedule_flush(signature)
+            self._flush_evaluates(signature)
         pending = [job for job in self._inflight.values() if not job.finished]
         if pending:
             waiters = [
@@ -440,17 +458,9 @@ class JobScheduler:
                 waiter.cancel()
         cancelled = 0
         for job in list(self._inflight.values()):
-            if not job.finished:
-                job._cancel()
+            if job._cancel():
                 cancelled += 1
-                log_event(
-                    "job_finished",
-                    trace_id=job.trace_id,
-                    job=job.id,
-                    kind=job.kind,
-                    name=job.name,
-                    status=job.status,
-                )
+                self._job_finished(job)
             self._inflight.pop(job.key, None)
         self._executor.shutdown(wait=False, cancel_futures=True)
         return {"finished": len(pending) - cancelled, "cancelled": cancelled}
@@ -499,7 +509,7 @@ class JobScheduler:
         )
         return max(1, min(60, int(estimate + 0.5)))
 
-    def _admit(self, kind: str) -> None:
+    def _admit(self) -> None:
         """Gate one new-work submission; raises when over capacity."""
         if self._draining:
             self.metrics.inc("admission_total", {"decision": "shed"})
@@ -552,27 +562,45 @@ class JobScheduler:
 
     # -- submission ----------------------------------------------------
 
-    def _coalesce(self, key: str) -> Job | None:
+    def _submit(
+        self, kind: str, key: str, name: str, trace_id: str | None
+    ) -> tuple[Job, bool]:
+        """Coalesce, register, check the store, admit, mark in flight.
+
+        Returns the job and whether it was newly admitted — only then
+        does the caller hand it work to run.  A coalesced job or a
+        store hit comes back ready to wait on; a shed submission raises
+        :class:`AdmissionError` and leaves no job behind.
+        """
         job = self._inflight.get(key)
         if job is not None:
             job.coalesced += 1
             self.metrics.inc("jobs_coalesced_total")
             self.metrics.inc("admission_total", {"decision": "coalesced"})
-        return job
-
-    def _check_store(self, job: Job) -> bool:
-        """Complete ``job`` from the result store if its key is present."""
-        payload = self.store.get(job.key)
-        if payload is None:
-            self.metrics.inc("result_store_misses_total")
-            return False
-        self.metrics.inc("result_store_hits_total")
-        # A store hit costs no compute, so it is always admitted — even
-        # while shedding; that is what makes a warmed tier ride out
-        # overload.
-        self.metrics.inc("admission_total", {"decision": "store-hit"})
-        job._complete(payload, self.store.get_rendering(job.key), "store")
-        return True
+            return job, False
+        job = Job(key, kind, name, trace_id=trace_id)
+        self._register(job)
+        self.metrics.inc("jobs_submitted_total", {"kind": kind})
+        payload = self.store.get(key)
+        if payload is not None:
+            self.metrics.inc("result_store_hits_total")
+            # A store hit costs no compute, so it is always admitted —
+            # even while shedding; that is what makes a warmed tier ride
+            # out overload.
+            self.metrics.inc("admission_total", {"decision": "store-hit"})
+            job._complete(payload, self.store.get_rendering(key), "store")
+            return job, False
+        self.metrics.inc("result_store_misses_total")
+        try:
+            self._admit()
+        except AdmissionError:
+            # Shed before the job ever entered the queue; drop it from
+            # the ledger so the 429'd request leaves no pending ghost.
+            self._jobs.pop(job.id, None)
+            raise
+        self._inflight[key] = job
+        job.status = RUNNING
+        return job, True
 
     async def submit_experiment(
         self,
@@ -581,27 +609,119 @@ class JobScheduler:
         settings: ExperimentSettings,
         trace_id: str | None = None,
     ) -> Job:
-        """Submit one experiment module run (single-flight per key)."""
-        key = canonical_job_key("experiment", name, settings)
-        existing = self._coalesce(key)
-        if existing is not None:
-            return existing
-        job = Job(key, "experiment", name, trace_id=trace_id)
-        self._register(job)
-        self.metrics.inc("jobs_submitted_total", {"kind": "experiment"})
-        if self._check_store(job):
+        """Submit one experiment module run: a batch of one job."""
+        job, admitted = self._submit(
+            "experiment",
+            canonical_job_key("experiment", name, settings),
+            name,
+            trace_id,
+        )
+        if not admitted:
             return job
-        try:
-            self._admit("experiment")
-        except AdmissionError:
-            # Shed before the job ever entered the queue; drop it from
-            # the ledger so the 429'd request leaves no pending ghost.
-            self._jobs.pop(job.id, None)
-            raise
-        self._inflight[key] = job
-        job.status = RUNNING
-        asyncio.ensure_future(self._run_experiment_job(job, name, module, settings))
+
+        def work():
+            result, report = run_experiment(module, settings, self.jobs, name)
+            return [result], report
+
+        def finish(result, report) -> tuple[dict, str]:
+            payload = {
+                "kind": "experiment",
+                "name": name,
+                "trace_id": job.trace_id,
+                "settings": settings_record(settings),
+                "wall_seconds": report.wall_seconds,
+                "phase_totals": report.phase_totals,
+            }
+            return payload, result.render()
+
+        self._start(
+            _Batch(
+                kind="experiment",
+                label=name,
+                jobs=[job],
+                work=work,
+                finish=finish,
+                run_attrs={"job": job.id, "kind": "experiment"},
+                manifest_extra={
+                    "job": job.id,
+                    "key": job.key,
+                    "settings": settings_record(settings),
+                },
+            )
+        )
         return job
+
+    async def submit_evaluate(
+        self, request: EvaluateRequest, trace_id: str | None = None
+    ) -> Job:
+        """Submit one point evaluation (coalesced, then batched)."""
+        job, admitted = self._submit(
+            "evaluate", request.key(), request.workload, trace_id
+        )
+        if not admitted:
+            return job
+        signature = request.batch_signature
+        pending = self._pending_eval.setdefault(signature, [])
+        pending.append((request, job))
+        if len(pending) == 1:
+            # Every compatible request landing before the flush — in
+            # this loop iteration — joins the batch.
+            asyncio.get_running_loop().call_soon(
+                self._flush_evaluates, signature
+            )
+        return job
+
+    def _flush_evaluates(self, signature: tuple) -> None:
+        batch = self._pending_eval.pop(signature, [])
+        if not batch:
+            return
+        self.metrics.inc("eval_batches_total")
+        self.metrics.observe("eval_batch_size", len(batch))
+        requests = [request for request, _job in batch]
+
+        def work():
+            # One cell per (workload, OS, engine): all of a workload's
+            # requested points share one trace and its memoized masks.
+            groups, cells = evaluate_group_cells(requests)
+            results, report = execute_cells(
+                cells, self.jobs, label="evaluate-batch"
+            )
+            payloads = [None] * len(requests)
+            for indices, group_payloads in zip(groups.values(), results):
+                for index, payload in zip(indices, group_payloads):
+                    payloads[index] = payload
+            return payloads, report
+
+        jobs = [job for _request, job in batch]
+        # The flush is one traced run under the first job's trace id (a
+        # one-request batch — the common case — therefore carries the
+        # requesting client's id); the manifest lists every coalesced
+        # request with its own trace id and key.
+        self._start(
+            _Batch(
+                kind="evaluate",
+                label="evaluate-batch",
+                jobs=jobs,
+                work=work,
+                finish=lambda payload, _report: (payload, None),
+                run_attrs={"batch_size": len(jobs)},
+                manifest_extra={
+                    "requests": [
+                        {"job": job.id, "trace_id": job.trace_id,
+                         "key": job.key}
+                        for job in jobs
+                    ],
+                },
+            )
+        )
+
+    # -- execution -----------------------------------------------------
+
+    def _start(self, batch: _Batch) -> None:
+        task = asyncio.ensure_future(self._settle(batch))
+        # The loop holds tasks weakly; keep each one until it settles.
+        self._settling.add(task)
+        task.add_done_callback(self._settling.discard)
 
     def _finish_manifest(self, recorder, extra: dict) -> str | None:
         """Write one run manifest under ``obs_dir`` (if configured)."""
@@ -628,235 +748,85 @@ class JobScheduler:
             "plan_inputs_primed_total", amount=stats["inputs_primed"]
         )
 
-    def _execute_experiment(
-        self, job: Job, name: str, module, settings: ExperimentSettings
-    ):
-        """Executor-thread body of one experiment job, traced end to end.
+    def _execute_eval_batch(self, batch: _Batch):
+        """Executor-thread body of every batch, traced end to end.
 
         Runs on a worker thread (thread-locals do not cross
         ``run_in_executor``), so the recorder must be bound *here*, not
-        on the event loop.
+        on the event loop.  Returns ``(results, report, manifest)``.
         """
-        self._jobs_started([job.created_at])
+        self._jobs_started([job.created_at for job in batch.jobs])
         started = time.perf_counter()
         try:
             with tracing.run(
-                name,
-                trace_id=job.trace_id,
+                batch.label,
+                trace_id=batch.jobs[0].trace_id,
                 on_span=self._span_observer,
-                job=job.id,
-                kind="experiment",
+                **batch.run_attrs,
             ) as recorder:
-                result, report = run_experiment(
-                    module, settings, self.jobs, name
-                )
+                results, report = batch.work()
             self._record_plan_stats(report.plan)
         finally:
-            self._jobs_settled(1, time.perf_counter() - started)
+            self._jobs_settled(
+                len(batch.jobs), time.perf_counter() - started
+            )
         manifest_path = self._finish_manifest(
             recorder,
             extra={
                 "command": "serve",
-                "kind": "experiment",
-                "job": job.id,
-                "key": job.key,
-                "settings": settings_record(settings),
+                "kind": batch.kind,
+                **batch.manifest_extra,
                 "jobs": self.jobs,
             },
         )
-        return result, report, manifest_path
+        return results, report, manifest_path
 
-    async def _run_experiment_job(
-        self, job: Job, name: str, module, settings: ExperimentSettings
-    ) -> None:
+    async def _settle(self, batch: _Batch) -> None:
+        """Run ``batch`` on an executor thread and settle its jobs."""
         loop = asyncio.get_running_loop()
         start = time.perf_counter()
         try:
-            result, report, manifest_path = await loop.run_in_executor(
-                self._executor, self._execute_experiment,
-                job, name, module, settings,
+            results, report, manifest_path = await loop.run_in_executor(
+                self._executor, self._execute_eval_batch, batch
             )
-            payload = {
-                "kind": "experiment",
-                "name": name,
-                "trace_id": job.trace_id,
-                "settings": settings_record(settings),
-                "wall_seconds": report.wall_seconds,
-                "phase_totals": report.phase_totals,
-            }
-            rendering = result.render()
+            settled = [batch.finish(result, report) for result in results]
         except asyncio.CancelledError:
             # Shutdown cancelled the executor future before (or while)
-            # the body ran; report the job cancelled, never silent.
-            job._cancel()
-            self._inflight.pop(job.key, None)
-            return
-        except Exception as exc:
-            self.metrics.inc("jobs_failed_total", {"kind": "experiment"})
-            job._fail(str(exc))
-        else:
-            job.manifest = manifest_path
-            self.store.put(job.key, payload, rendering)
-            self.metrics.inc("jobs_executed_total", {"kind": "experiment"})
-            self.metrics.observe(
-                "job_seconds",
-                time.perf_counter() - start,
-                {"kind": "experiment"},
-            )
-            job._complete(payload, rendering, "executed")
-        finally:
-            self._inflight.pop(job.key, None)
-            log_event(
-                "job_finished",
-                trace_id=job.trace_id,
-                job=job.id,
-                kind="experiment",
-                name=name,
-                status=job.status,
-                seconds=round(time.perf_counter() - start, 6),
-                manifest=job.manifest,
-            )
-
-    async def submit_evaluate(
-        self, request: EvaluateRequest, trace_id: str | None = None
-    ) -> Job:
-        """Submit one point evaluation (coalesced, then batched)."""
-        key = request.key()
-        existing = self._coalesce(key)
-        if existing is not None:
-            return existing
-        job = Job(key, "evaluate", request.workload, trace_id=trace_id)
-        self._register(job)
-        self.metrics.inc("jobs_submitted_total", {"kind": "evaluate"})
-        if self._check_store(job):
-            return job
-        try:
-            self._admit("evaluate")
-        except AdmissionError:
-            self._jobs.pop(job.id, None)
+            # the body ran; report the jobs cancelled, never silent.
+            seconds = round(time.perf_counter() - start, 6)
+            for job in batch.jobs:
+                if job._cancel():
+                    self._job_finished(job, seconds=seconds, manifest=None)
             raise
-        self._inflight[key] = job
-        job.status = RUNNING
-        signature = request.batch_signature
-        pending = self._pending_eval.get(signature)
-        if pending is None:
-            # First request of this signature opens a batch window; every
-            # compatible request landing before the flush joins the batch.
-            self._pending_eval[signature] = [(request, job)]
-            loop = asyncio.get_running_loop()
-            if self.batch_window > 0:
-                loop.call_later(
-                    self.batch_window, self._schedule_flush, signature
-                )
-            else:
-                loop.call_soon(self._schedule_flush, signature)
-        else:
-            pending.append((request, job))
-        return job
-
-    def _schedule_flush(self, signature: tuple) -> None:
-        asyncio.ensure_future(self._flush_evaluates(signature))
-
-    async def _flush_evaluates(self, signature: tuple) -> None:
-        batch = self._pending_eval.pop(signature, [])
-        if not batch:
-            return
-        self.metrics.inc("eval_batches_total")
-        self.metrics.observe("eval_batch_size", len(batch))
-        # One cell per (workload, OS, engine): all of a workload's
-        # requested points share one trace and its memoized miss masks.
-        groups, cells = evaluate_group_cells(
-            [request for request, _job in batch]
-        )
-        loop = asyncio.get_running_loop()
-        start = time.perf_counter()
-        # The flush is one traced run: its trace id is the first job's
-        # (a one-request batch — the common case — therefore carries the
-        # requesting client's id), and the manifest's extra block lists
-        # every coalesced request with its own trace id and key.
-        requests_meta = [
-            {"job": job.id, "trace_id": job.trace_id, "key": job.key}
-            for _, job in batch
-        ]
-        try:
-            results, manifest_path = await loop.run_in_executor(
-                self._executor, self._execute_eval_batch,
-                cells, batch[0][1].trace_id, requests_meta,
-                [job.created_at for _, job in batch],
-            )
-        except asyncio.CancelledError:
-            for _, job in batch:
-                job._cancel()
-                self._inflight.pop(job.key, None)
-            return
         except Exception as exc:
-            for _, job in batch:
-                self.metrics.inc("jobs_failed_total", {"kind": "evaluate"})
-                job._fail(str(exc))
-                self._inflight.pop(job.key, None)
-                log_event(
-                    "job_finished",
-                    trace_id=job.trace_id,
-                    job=job.id,
-                    kind="evaluate",
-                    name=job.name,
-                    status=job.status,
-                    error=str(exc),
-                )
+            seconds = round(time.perf_counter() - start, 6)
+            for job in batch.jobs:
+                self.metrics.inc("jobs_failed_total", {"kind": batch.kind})
+                if job._fail(str(exc)):
+                    self._job_finished(
+                        job, seconds=seconds, manifest=None, error=str(exc)
+                    )
             return
         elapsed = time.perf_counter() - start
-        for indices, payloads in zip(groups.values(), results):
-            for index, payload in zip(indices, payloads):
-                _, job = batch[index]
-                job.manifest = manifest_path
-                self.store.put(job.key, payload)
-                self.metrics.inc("jobs_executed_total", {"kind": "evaluate"})
-                job._complete(payload, None, "executed")
-                self._inflight.pop(job.key, None)
-                log_event(
-                    "job_finished",
-                    trace_id=job.trace_id,
-                    job=job.id,
-                    kind="evaluate",
-                    name=job.name,
-                    status=job.status,
-                    seconds=round(elapsed, 6),
-                    manifest=job.manifest,
+        for job, (payload, rendering) in zip(batch.jobs, settled):
+            job.manifest = manifest_path
+            self.store.put(job.key, payload, rendering)
+            self.metrics.inc("jobs_executed_total", {"kind": batch.kind})
+            if job._complete(payload, rendering, "executed"):
+                self._job_finished(
+                    job, seconds=round(elapsed, 6), manifest=manifest_path
                 )
-        self.metrics.observe("job_seconds", elapsed, {"kind": "evaluate"})
+        self.metrics.observe("job_seconds", elapsed, {"kind": batch.kind})
 
-    def _execute_eval_batch(
-        self,
-        cells: list[PlanCell],
-        trace_id: str,
-        requests_meta: list,
-        created_ats: list[float],
-    ):
-        """Executor-thread body of one evaluate flush, traced end to end."""
-        self._jobs_started(created_ats)
-        started = time.perf_counter()
-        try:
-            with tracing.run(
-                "evaluate-batch",
-                trace_id=trace_id,
-                on_span=self._span_observer,
-                batch_size=len(requests_meta),
-            ) as recorder:
-                results, plan_report = execute_cells(
-                    cells, self.jobs, label="evaluate-batch"
-                )
-            self._record_plan_stats(plan_report.plan)
-        finally:
-            self._jobs_settled(
-                len(created_ats), time.perf_counter() - started
-            )
-        manifest_path = self._finish_manifest(
-            recorder,
-            extra={
-                "command": "serve",
-                "kind": "evaluate",
-                "requests": requests_meta,
-                "jobs": self.jobs,
-            },
+    def _job_finished(self, job: Job, **fields) -> None:
+        """Drop a settled job from the in-flight set and log it."""
+        self._inflight.pop(job.key, None)
+        log_event(
+            "job_finished",
+            trace_id=job.trace_id,
+            job=job.id,
+            kind=job.kind,
+            name=job.name,
+            status=job.status,
+            **fields,
         )
-        return results, manifest_path

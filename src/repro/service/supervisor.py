@@ -296,7 +296,6 @@ class Supervisor:
         workers: int,
         store_root: str | None,
         jobs: int = 1,
-        batch_window: float = 0.0,
         max_inflight: int = 4,
         max_queue: int | None = None,
         drain_timeout: float = 30.0,
@@ -319,7 +318,6 @@ class Supervisor:
         self.workers = workers
         self.store_root = store_root
         self.jobs = jobs
-        self.batch_window = batch_window
         self.max_inflight = max_inflight
         self.max_queue = max_queue
         self.drain_timeout = drain_timeout
@@ -425,18 +423,18 @@ class Supervisor:
             self._sock.close()  # the parent's reservation is not ours
         else:
             sock = self._sock  # the inherited, already-listening FD
-        from repro.service.app import run_worker
+        from repro.service.app import run_service
+        from repro.service.store import ResultStore
 
-        identity = WorkerIdentity(
-            index=index, count=self.workers, pid=os.getpid()
-        )
-        return run_worker(
+        return run_service(
             sock=sock,
-            identity=identity,
+            identity=WorkerIdentity(
+                index=index, count=self.workers, pid=os.getpid()
+            ),
             registry_dir=self._registry_dir,
-            store_root=self.store_root,
+            # Built post-fork: each worker opens the shared root itself.
+            store=ResultStore(self.store_root),
             jobs=self.jobs,
-            batch_window=self.batch_window,
             max_inflight=self.max_inflight,
             max_queue=self.max_queue,
             drain_timeout=self.drain_timeout,

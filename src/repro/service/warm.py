@@ -16,14 +16,11 @@ from __future__ import annotations
 
 import time
 
+from repro.core.config import CONFIG_NAMES
 from repro.core.study import MECHANISMS
 from repro.experiments.common import ExperimentSettings
 from repro.plan.executor import execute_cells
-from repro.service.scheduler import (
-    CONFIGS,
-    EvaluateRequest,
-    evaluate_group_cells,
-)
+from repro.service.scheduler import EvaluateRequest, evaluate_group_cells
 from repro.service.store import ResultStore
 from repro.workloads.registry import list_workloads, suite_workloads
 
@@ -33,7 +30,7 @@ __all__ = ["warm_plan", "warm_store"]
 def warm_plan(
     *,
     suite: str | None = None,
-    configs: tuple[str, ...] = CONFIGS,
+    configs: tuple[str, ...] = CONFIG_NAMES,
     mechanisms: tuple[str, ...] = MECHANISMS,
     settings: ExperimentSettings,
 ) -> list[EvaluateRequest]:

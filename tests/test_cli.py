@@ -77,13 +77,11 @@ class TestServeParser:
         from repro.cli import build_parser
 
         args = build_parser().parse_args(
-            ["serve", "--port", "9000", "--host", "0.0.0.0",
-             "--batch-window", "0.05"]
+            ["serve", "--port", "9000", "--host", "0.0.0.0"]
         )
         assert args.command == "serve"
         assert args.port == 9000
         assert args.host == "0.0.0.0"
-        assert args.batch_window == 0.05
 
     def test_serve_defaults(self):
         from repro.cli import build_parser

@@ -9,6 +9,7 @@ capture, and re-parenting of shipped spans — including the end-to-end
 
 from __future__ import annotations
 
+import os
 import time
 
 import pytest
@@ -283,6 +284,34 @@ class TestPoolIntegration:
             for span in recorder.spans
         )
         assert span_lookups == 3
+
+    def test_workers_start_with_no_sinks(self, tmp_path):
+        # A sink subscribed in the parent runs only in the parent: the
+        # forked workers' events reach it through replay, so the counts
+        # it sees match an in-process run.
+        cells = [
+            PlanCell(key=("cell", i), fn=_traced_cell, args=(f"r{i}",))
+            for i in range(3)
+        ]
+        pids = tmp_path / "sink-pids.txt"
+        counts = {}
+
+        def sink(kind, key, amount):
+            with open(pids, "a") as handle:
+                handle.write(f"{os.getpid()}\n")
+            if kind != tracing.PHASE:
+                counts[jobs][kind] = counts[jobs].get(kind, 0) + amount
+
+        tracing.subscribe(sink)
+        try:
+            for jobs in (1, 2):
+                counts[jobs] = {}
+                run_cells(cells, jobs=jobs)
+        finally:
+            tracing.unsubscribe(sink)
+        assert set(pids.read_text().split()) == {str(os.getpid())}
+        assert counts[1] == {tracing.DISPATCH: 3, tracing.TRACE_CACHE: 3}
+        assert counts[2] == counts[1]
 
     def test_serial_run_traces_cells_live(self):
         cells = [

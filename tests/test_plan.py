@@ -355,9 +355,9 @@ class TestSchedulerGroupCells:
         assert first.masks
 
     def test_group_cell_masks_match_point_derivation(self):
+        from repro.core.config import MemorySystemConfig
         from repro.service.scheduler import (
             EvaluateRequest,
-            _named_config,
             evaluate_group_cells,
         )
 
@@ -368,7 +368,8 @@ class TestSchedulerGroupCells:
         )
         _, cells = evaluate_group_cells([request])
         point = fetch_point(
-            ("economy", "demand"), _named_config("economy"), "demand"
+            ("economy", "demand"), MemorySystemConfig.named("economy"),
+            "demand",
         )
         assert cells[0].masks == plan_inputs.mask_families(
             [point], SETTINGS.engine

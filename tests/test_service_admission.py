@@ -39,21 +39,21 @@ class _FakeReport:
 
 
 def _block_executor(scheduler, release: threading.Event):
-    """Replace the experiment executor body with an event-gated stall.
+    """Replace the shared executor-thread body with an event-gated stall.
 
     Keeps the real started/settled bookkeeping so occupancy gauges and
-    Retry-After see the stalled job exactly like a slow real one.
+    Retry-After see the stalled batch exactly like a slow real one.
     """
 
-    def stalled(job, name, module, settings):
-        scheduler._jobs_started([job.created_at])
+    def stalled(batch):
+        scheduler._jobs_started([job.created_at for job in batch.jobs])
         try:
             release.wait(30)
         finally:
-            scheduler._jobs_settled(1, 0.05)
-        return _FakeResult(), _FakeReport(), None
+            scheduler._jobs_settled(len(batch.jobs), 0.05)
+        return [_FakeResult() for _ in batch.jobs], _FakeReport(), None
 
-    scheduler._execute_experiment = stalled
+    scheduler._execute_eval_batch = stalled
 
 
 class TestAdmissionBurst:

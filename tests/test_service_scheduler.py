@@ -1,16 +1,37 @@
 """Unit tests for the coalescing/batching job scheduler."""
 
 import asyncio
+import io
+import json
+import types
 
 import pytest
 
 from repro.experiments import table2
 from repro.experiments.common import ExperimentSettings
+from repro.obs import logs
+from repro.plan.ir import PlanCell
 from repro.service.metrics import ServiceMetrics
 from repro.service.scheduler import EvaluateRequest, JobScheduler
 from repro.service.store import ResultStore
+from repro.workloads.registry import get_trace
 
 SETTINGS = ExperimentSettings(n_instructions=20_000, seed=0)
+
+#: An experiment whose one cell loads an unknown workload's trace.
+BROKEN_EXPERIMENT = types.SimpleNamespace(
+    __name__="broken",
+    plan_cells=lambda settings: [
+        PlanCell(
+            key=("no-such-workload", "mach3"),
+            fn=get_trace,
+            args=(
+                "no-such-workload", "mach3", settings.n_instructions,
+                settings.seed,
+            ),
+        )
+    ],
+)
 
 
 def _run(coroutine):
@@ -185,28 +206,43 @@ class TestEvaluateJobs:
         assert scheduler.metrics.counter_value(
             "jobs_executed_total", {"kind": "evaluate"}) == 1
 
-    def test_failure_names_cell(self, make_scheduler):
+    @pytest.mark.parametrize("kind", ["evaluate", "experiment"])
+    def test_failure_names_cell(self, make_scheduler, kind):
+        # Both job kinds settle a failed batch the same way.
         scheduler = make_scheduler()
-        bad = EvaluateRequest(
-            workload="no-such-workload",
-            os_name="mach3",
-            config_name="economy",
-            mechanism="demand",
-            settings=SETTINGS,
-        )
 
         async def body():
-            job = await scheduler.submit_evaluate(bad)
+            if kind == "evaluate":
+                job = await scheduler.submit_evaluate(
+                    _evaluate_request("no-such-workload")
+                )
+            else:
+                job = await scheduler.submit_experiment(
+                    "broken", BROKEN_EXPERIMENT, SETTINGS
+                )
             await job.wait()
             return job
 
-        job = _run(body())
+        stream = io.StringIO()
+        logs.configure(stream)
+        try:
+            job = _run(body())
+        finally:
+            logs.configure(None)
         assert job.status == "failed"
         # The CellExecutionError wrap names the failing cell identity.
         assert "no-such-workload" in job.error
         assert scheduler.metrics.counter_value(
-            "jobs_failed_total", {"kind": "evaluate"}) == 1
+            "jobs_failed_total", {"kind": kind}) == 1
         assert scheduler.queue_depth == 0
+        (finished,) = [
+            record
+            for record in map(json.loads, stream.getvalue().splitlines())
+            if record["event"] == "job_finished"
+        ]
+        assert finished["kind"] == kind
+        assert finished["status"] == "failed"
+        assert finished["error"] == job.error
 
 
 class TestDispatchMetrics:

@@ -401,9 +401,3 @@ class TestMultiWorkerRendering:
             'repro_request_seconds_bucket{worker="7",le="+Inf"} 1' in text
         )
         assert 'repro_request_seconds_count{worker="7"} 1' in text
-
-    def test_single_worker_snapshot_helper(self):
-        metrics = ServiceMetrics()
-        metrics.inc("requests_total")
-        snapshot = metrics.to_multi_dict("4")
-        assert list(snapshot["workers"]) == ["4"]
